@@ -30,8 +30,8 @@ cannot beat one core), while the parity gate always runs.
 
 Results are written to ``BENCH_throughput.json`` at the repo root (one
 section per mode, so the committed file carries both the ``full``
-acceptance numbers and the tiny ``smoke`` CI point).  The perf-timer
-breakdown of the classify section rides along for drill-down.
+acceptance numbers and the tiny ``smoke`` CI point).  The span-table
+breakdown of one classify pass rides along as ``timers`` for drill-down.
 
 Run the acceptance-scale measurement::
 
@@ -58,7 +58,7 @@ from repro import nn
 from repro.core import SupernovaPipeline
 from repro.core.flux_cnn import BandwiseCNN
 from repro.nn import blas_backend_info, blas_env_settings, cpu_count
-from repro.perf import instrument as perf
+from repro.obs import trace as obs_trace
 from repro.serve import FluxPrior, InferenceEngine
 from repro.serve.pool import PoolConfig, ScoringPool
 
@@ -218,20 +218,14 @@ def bench_classify(
 ) -> tuple[float, dict]:
     """End-to-end serving throughput in samples per second.
 
-    Also returns the perf-timer breakdown of one instrumented pass.
+    Also returns the span-table breakdown of one more pass.
     """
     run = _classify_workload(input_size, stamp, n, batch, seed, precision=precision)
     elapsed = _timeit(run, repeats)
 
-    perf.reset()
-    perf.enable()
-    try:
-        run()
-        timers = perf.report()
-    finally:
-        perf.disable()
-        perf.reset()
-    return n / elapsed, timers
+    baseline = obs_trace.span_table()
+    run()
+    return n / elapsed, obs_trace.timers_since(baseline)
 
 
 def bench_classify_mp(
@@ -401,12 +395,13 @@ def bench_telemetry(
        microbenchmarked and its per-batch cost must stay under 2% of
        the measured per-batch classify time;
     4. enabled rounds emit at least one event per served sample;
-    5. the disabled *tracing* hook (``repro.obs.trace.span`` returning
-       ``NULL_SPAN``) is microbenchmarked the same way — three
-       instrumented engine stages per batch must also stay under the
-       2% gate — and fully-traced rounds (``trace="always"`` with a
-       root span over each run) report the enabled-with-sampling
-       overhead informationally.
+    5. the untraced span (``repro.obs.trace.span`` with no live trace: a
+       timing scope adding to the span table) is microbenchmarked the
+       same way — times the number of spans one scored batch opens,
+       read from the span table, it must also stay under the 2% gate —
+       and fully-traced rounds (``trace="always"`` with a root span
+       over each run) report the enabled-with-sampling overhead
+       informationally.
 
     Off/on rounds still interleave and the enabled overhead is reported
     informationally (median of paired per-round ratios, robust to
@@ -474,19 +469,22 @@ def bench_telemetry(
     batch_time = min(times_off) / batches_per_run
     disabled_overhead = hook_cost / batch_time
 
-    # The disabled tracing hook: span() reads one module reference and
-    # returns NULL_SPAN; each scored batch pays it once per instrumented
-    # engine stage (repair, cnn, features).
-    from repro.obs import trace as trace_mod
-
-    if trace_mod.tracer() is not None:
+    # The untraced span: a timing scope that adds to the span table.
+    # Each scored batch pays it once per span it opens (engine stages
+    # and every conv2d), counted from the table over one run.
+    if obs_trace.tracer() is not None:
         failures.append("a tracer was already installed before the bench")
+    baseline = obs_trace.span_table()
+    run()
+    spans_per_batch = sum(
+        entry["calls"] for entry in obs_trace.timers_since(baseline).values()
+    ) / batches_per_run
     start = time.perf_counter()
     for _ in range(hook_iters):
-        with trace_mod.span("bench.hook"):
+        with obs_trace.span("bench.hook"):
             pass
     trace_hook_cost = (time.perf_counter() - start) / hook_iters
-    trace_disabled_overhead = 3 * trace_hook_cost / batch_time
+    trace_disabled_overhead = spans_per_batch * trace_hook_cost / batch_time
 
     # Fully-traced rounds: telemetry + trace="always", with a root span
     # over each run so every engine stage records a span.  Reported
@@ -511,7 +509,7 @@ def bench_telemetry(
                 for event in obs.read_events(
                     os.path.join(round_dir, obs.EVENTS_FILE)
                 )
-                if event.get("event") == trace_mod.SPAN_EVENT
+                if event.get("event") == obs_trace.SPAN_EVENT
             )
 
     rate_off = n / min(times_off)
@@ -531,7 +529,8 @@ def bench_telemetry(
         f"enabled overhead {enabled_overhead:6.2%}"
     )
     print(
-        f"disabled trace hook {trace_hook_cost * 1e9:6.0f} ns/span x3 = "
+        f"untraced span       {trace_hook_cost * 1e9:6.0f} ns/span "
+        f"x{spans_per_batch:g} = "
         f"{trace_disabled_overhead:.4%} of batch time (gate <2%), "
         f"traced overhead {traced_overhead:6.2%}"
     )
@@ -543,7 +542,7 @@ def bench_telemetry(
         )
     if trace_disabled_overhead > 0.02:
         failures.append(
-            f"disabled tracing hooks cost {trace_disabled_overhead:.2%} of "
+            f"untraced spans cost {trace_disabled_overhead:.2%} of "
             "classify batch time (gate 2%)"
         )
     # Every enabled round serves n samples -> at least that many
@@ -568,6 +567,7 @@ def bench_telemetry(
         "disabled_overhead": round(disabled_overhead, 6),
         "enabled_overhead": round(enabled_overhead, 4),
         "trace_hook_ns": round(trace_hook_cost * 1e9, 1),
+        "spans_per_batch": spans_per_batch,
         "trace_disabled_overhead": round(trace_disabled_overhead, 6),
         "traced_overhead": round(traced_overhead, 4),
         "n_events": n_events,
@@ -667,7 +667,7 @@ def run_benchmark(smoke: bool) -> dict:
             **mp_metrics,
         },
         "mp_scaling": mp_scaling,
-        "timers": timers.get("timers", {}),
+        "timers": timers,
     }
 
 

@@ -28,9 +28,10 @@ Subpackages
 ``repro.serve``
     Hardened inference: input validation/repair, band masking with
     prior imputation, degradation-flagged predictions.
-``repro.perf``
-    Performance instrumentation: scoped timers, op counters, JSON
-    reports driving the ``BENCH_*`` throughput trajectory.
+``repro.obs``
+    Telemetry: structured events, metrics, drift watch, and
+    ``repro.obs.trace.span`` — the one timing primitive, whose
+    process-wide span table drives the ``BENCH_*`` stage breakdown.
 """
 
 from . import (
@@ -42,7 +43,6 @@ from . import (
     eval,
     lightcurves,
     nn,
-    perf,
     photometry,
     runtime,
     serve,
@@ -65,7 +65,6 @@ __all__ = [
     "eval",
     "runtime",
     "serve",
-    "perf",
     "utils",
     "__version__",
 ]

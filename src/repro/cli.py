@@ -622,6 +622,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             print(result.to_json(), file=sink, flush=args.out is None)
     finally:
         if pool is not None:
+            session = obs.active()
+            if session is not None:
+                pool.export_metrics(session.metrics)
             pool.close()
         if args.out:
             sink.close()

@@ -8,14 +8,15 @@ when) a telemetry session is active:
   ``request_id`` onto every line;
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms with JSON snapshots and Prometheus text exposition, plus
-  pluggable sources (the :mod:`repro.perf` timers register as one);
+  pluggable sources (the span table's stage timers register as one);
 * :mod:`repro.obs.session` — the on/off switch: ``start(dir)`` /
   ``stop()``; the disabled path is a single ``active() is None`` check,
   so library code is free to instrument unconditionally;
-* :mod:`repro.obs.trace` — request tracing: spans (trace_id / span_id /
-  parent_id, start, duration) recorded through the event log, with
-  cross-process propagation into pool workers, sampling, and the
-  ``repro trace`` analysis CLI;
+* :mod:`repro.obs.trace` — the one timing primitive, ``span``: every
+  span adds to a process-wide per-name span table, and with tracing on
+  it is also recorded (trace_id / span_id / parent_id, start, duration)
+  through the event log, with cross-process propagation into pool
+  workers, sampling, and the ``repro trace`` analysis CLI;
 * :mod:`repro.obs.drift` — PSI/KS monitoring of the served score and
   flux distributions against a baseline committed with the model;
 * :mod:`repro.obs.schema` / :mod:`repro.obs.report` — validation and

@@ -11,10 +11,10 @@ slow — and exports it two ways:
   --prometheus`` can feed a real monitoring stack.
 
 External *sources* can be registered so one report covers subsystems
-that keep their own state: the telemetry session registers
-:func:`repro.perf.instrument.metrics_source`, which folds the perf
-timers (GEMM, repair, features, ...) into every snapshot as
-``perf_timer_*`` series.
+that keep their own state: the telemetry session registers the span
+table (:func:`repro.obs.trace.span_table`) as the ``perf`` source, which
+folds the per-stage timers (conv, repair, features, ...) into every
+snapshot as ``perf_timer_*`` series.
 
 All mutating operations take the registry lock; instruments themselves
 are lock-free on read.  Histograms use *fixed* bucket upper bounds

@@ -2,8 +2,7 @@
 
 Telemetry is **off by default** and must cost nothing while off.  The
 entire disabled path is :func:`active` — a read of one module-level
-reference returning ``None`` — mirroring the no-op-scope trick of
-:mod:`repro.perf.instrument`.  Instrumented code does::
+reference returning ``None``.  Instrumented code does::
 
     session = obs.active()
     if session is not None:
@@ -16,9 +15,10 @@ reference returning ``None`` — mirroring the no-op-scope trick of
 * ``metrics.json`` — the registry snapshot, written on :func:`stop`;
 
 pushes the session's ``run_id`` onto the *process-wide* context layer so
-every thread stamps it, enables :mod:`repro.perf` collection, and
-registers the perf timers as a metrics source so one ``repro metrics``
-report covers events, counters, histograms *and* timers.
+every thread stamps it, and registers the span table
+(:func:`repro.obs.trace.span_table`), diffed against its value at
+:func:`start`, as the ``perf`` metrics source so one ``repro metrics``
+report covers events, counters, histograms *and* stage timers.
 
 Sessions do not nest: :func:`start` while a session is active raises —
 one process serves one telemetry directory at a time, which is what
@@ -32,6 +32,7 @@ import secrets
 import threading
 import time
 
+from . import trace as trace_mod
 from .log import EVENTS_FILE, EventLog, context
 from .metrics import METRICS_FILE, MetricsRegistry
 
@@ -125,40 +126,34 @@ class TelemetrySession:
 def start(
     directory: str | os.PathLike,
     run_id: str | None = None,
-    enable_perf: bool = True,
     trace: object = None,
     **start_fields: object,
 ) -> TelemetrySession:
     """Enable telemetry into ``directory`` and return the live session.
 
     ``start_fields`` ride on the ``session.start`` event (the CLI passes
-    the subcommand and its arguments).  With ``enable_perf`` (default)
-    the :mod:`repro.perf` timers are reset, switched on, and registered
-    as the ``perf`` metrics source.  ``trace`` enables request tracing:
-    pass a :class:`repro.obs.trace.TraceConfig`, a spec string
-    (``"always"`` / ``"rate:0.1"`` / ``"slow:250"``), or ``True`` for
-    the default policy; the tracer sinks spans into this session's
+    the subcommand and its arguments).  The spans that end from now on
+    are reported as the ``perf`` metrics source.  ``trace`` enables
+    request tracing: pass a :class:`repro.obs.trace.TraceConfig`, a spec
+    string (``"always"`` / ``"rate:0.1"`` / ``"slow:250"``), or ``True``
+    for the default policy; the tracer sinks spans into this session's
     event log and is uninstalled by :func:`stop`.
     """
     global _SESSION
-    from .. import perf
-
     with _STATE_LOCK:
         if _SESSION is not None:
             raise RuntimeError(
                 f"telemetry already active in {_SESSION.directory}; stop() it first"
             )
         session = TelemetrySession(directory, run_id=run_id)
-        if enable_perf:
-            perf.reset()
-            perf.enable()
-            session.metrics.register_source("perf", perf.metrics_source)
+        baseline = trace_mod.span_table()
+        session.metrics.register_source(
+            "perf", lambda: {"timers": trace_mod.timers_since(baseline)}
+        )
         from ..nn import workspace_metrics_source
 
         session.metrics.register_source("nn.workspace", workspace_metrics_source)
         if trace is not None and trace is not False:
-            from . import trace as trace_mod
-
             if isinstance(trace, str):
                 config = trace_mod.TraceConfig.parse(trace)
             elif trace is True:
@@ -175,20 +170,14 @@ def start(
 def stop(status: str = "ok", **end_fields: object) -> dict:
     """Close the active session (no-op if none); returns its final snapshot."""
     global _SESSION
-    from .. import perf
-
     with _STATE_LOCK:
         session = _SESSION
         _SESSION = None
     if session is None:
         return {}
     if session.tracer is not None:
-        from . import trace as trace_mod
-
         trace_mod.uninstall()
-    snapshot = session.close(status=status, **end_fields)
-    perf.disable()
-    return snapshot
+    return session.close(status=status, **end_fields)
 
 
 def active() -> TelemetrySession | None:

@@ -12,9 +12,12 @@ Design mirrors :mod:`repro.obs.log`:
 
 - a process-wide plus thread-local *span-context stack* supplies the
   ambient parent for nested spans, exactly like the event-context stack;
-- the disabled path is one module-level reference read
-  (:func:`tracer` / the ``_TRACER is None`` check inside :func:`span`),
-  so instrumentation points cost nothing when tracing is off;
+- :func:`span` is also the repo's only timing primitive: every span that
+  ends, traced or not, adds its duration to a process-wide per-name
+  *span table* (:func:`span_table`).  With no live trace, :func:`span`
+  returns a bare timing scope that exposes ``duration_s`` and records
+  nothing else — about a microsecond per scope, so the table is always
+  on and has no switch;
 - sampling is decided once per trace: ``always``, deterministic
   ``rate:F`` (hash of the request id), or ``slow:MS`` (buffer the span
   tree, emit only if the root exceeds the threshold — the slow-request
@@ -56,6 +59,8 @@ __all__ = [
     "current_span",
     "span",
     "record",
+    "span_table",
+    "timers_since",
     "wire_context",
     "load_spans",
     "validate_spans",
@@ -242,6 +247,7 @@ class Span:
         if fields:
             self.attrs.update(fields)
         self.duration_s = round(time.perf_counter() - self._t0, 6)
+        _tally(self.name, self.duration_s)
         self._tracer._finish(self)
 
     def to_record(self) -> dict:
@@ -284,35 +290,33 @@ class Span:
         return f"Span({self.name!r}, trace={self.trace_id}, span={self.span_id})"
 
 
-class _NullSpan:
-    """No-op stand-in returned on every disabled/unsampled path."""
+class _Timing:
+    """An untraced span: times its region into the span table only.
 
-    __slots__ = ()
-    name = None
-    trace_id = None
-    span_id = None
-    parent_id = None
-    request_id = None
-    duration_s = None
-    is_root = False
+    :func:`span` returns one whenever no trace is live on this thread or
+    process.  It carries no ids, writes no event and never becomes an
+    ambient parent; ``duration_s`` is set when it ends."""
+
+    __slots__ = ("name", "duration_s", "_t0")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.duration_s: Optional[float] = None
+        self._t0 = time.perf_counter()
 
     def annotate(self, **fields: Any) -> None:
         pass
 
     def end(self, **fields: Any) -> None:
-        pass
+        if self.duration_s is None:
+            self.duration_s = time.perf_counter() - self._t0
+            _tally(self.name, self.duration_s)
 
-    def __enter__(self) -> "_NullSpan":
+    def __enter__(self) -> "_Timing":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-    def __bool__(self) -> bool:
-        return False
-
-
-NULL_SPAN = _NullSpan()
+        self.end()
 
 
 class _BaseTracer:
@@ -358,7 +362,8 @@ class _BaseTracer:
         **attrs: Any,
     ) -> None:
         """Record an already-measured stage as a completed child span."""
-        if parent is None or parent is NULL_SPAN:
+        _tally(name, duration_s)
+        if not isinstance(parent, Span):
             return
         child = self.child(parent, name, attrs)
         child.start_ts = round(time.time() - duration_s, 6)
@@ -558,29 +563,30 @@ def tracer() -> Optional[_BaseTracer]:
 
 
 def span(name: str, parent: Optional[Span] = None, **attrs: Any):
-    """An ambient child span, or ``NULL_SPAN`` when tracing is off or no
-    trace is live on this thread/process."""
+    """An ambient child span, or an untraced timing scope when tracing is
+    off or no trace is live on this thread/process.  Either way its
+    duration lands in the span table when it ends."""
     t = _TRACER
     if t is None:
-        return NULL_SPAN
+        return _Timing(name)
     if parent is None:
         parent = current_span()
-    if parent is None or parent is NULL_SPAN:
-        return NULL_SPAN
+    if not isinstance(parent, Span):
+        return _Timing(name)
     return t.child(parent, name, attrs or None)
 
 
 def record(
     name: str, duration_s: float, parent: Optional[Span] = None, **attrs: Any
 ) -> None:
-    """Record an already-measured stage; no-op when tracing is off."""
+    """Record an already-measured stage: into the span table always, and
+    as a completed child span when a trace is live."""
     t = _TRACER
     if t is None:
+        _tally(name, duration_s)
         return
     if parent is None:
         parent = current_span()
-    if parent is None or parent is NULL_SPAN:
-        return
     t.record(name, duration_s, parent, **attrs)
 
 
@@ -591,9 +597,55 @@ def wire_context(parent: Optional[Span] = None) -> Optional[Tuple[str, str, Opti
         return None
     if parent is None:
         parent = current_span()
-    if parent is None or parent is NULL_SPAN:
+    if not isinstance(parent, Span):
         return None
     return (parent.trace_id, parent.span_id, parent.request_id)
+
+
+# ----------------------------------------------------------------------
+# Span table: per-name (calls, total_s) of every span ended in-process
+# ----------------------------------------------------------------------
+_TABLE: Dict[str, List[float]] = {}
+_TABLE_LOCK = threading.Lock()
+
+
+def _tally(name: str, duration_s: float) -> None:
+    with _TABLE_LOCK:
+        entry = _TABLE.get(name)
+        if entry is None:
+            _TABLE[name] = [1, duration_s]
+        else:
+            entry[0] += 1
+            entry[1] += duration_s
+
+
+def span_table() -> Dict[str, Tuple[int, float]]:
+    """Snapshot of the span table: ``name -> (calls, total_s)``.
+
+    Every span that ends in this process adds to it — traced or not,
+    :func:`record` stages included; spans merged from worker segments do
+    not.  It is never reset: consumers diff two snapshots
+    (:func:`timers_since`).  Concurrent spans add up, so a total is
+    occupancy, not wall clock.
+    """
+    with _TABLE_LOCK:
+        return {name: (int(calls), total) for name, (calls, total) in _TABLE.items()}
+
+
+def timers_since(baseline: Dict[str, Tuple[int, float]]) -> Dict[str, dict]:
+    """``{name: {"calls", "total_s", "mean_s"}}`` of the spans that ended
+    since ``baseline``, a :func:`span_table` snapshot; sorted by name."""
+    timers = {}
+    for name, (calls, total) in sorted(span_table().items()):
+        base_calls, base_total = baseline.get(name, (0, 0.0))
+        if calls > base_calls:
+            delta = total - base_total
+            timers[name] = {
+                "calls": calls - base_calls,
+                "total_s": delta,
+                "mean_s": delta / (calls - base_calls),
+            }
+    return timers
 
 
 def worker_segment_path(directory: str, worker_id: int) -> str:

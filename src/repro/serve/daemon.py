@@ -1111,7 +1111,6 @@ class ServingDaemon:
             self.fault_hook(batch_index, len(group))
         pairs = np.stack([pending.pairs for pending in group])
         mjd = np.stack([pending.mjd for pending in group])
-        started = time.monotonic()
         # The scoring stage attaches to the first traced member's trace
         # (a shape group can mix sampled and unsampled requests); the
         # ambient push makes every nested stage — engine spans in
@@ -1124,7 +1123,7 @@ class ServingDaemon:
         with obs_trace.span(
             "daemon.score", parent=trace_parent,
             batch_index=batch_index, n_samples=len(group),
-        ):
+        ) as scored:
             if self._pool is not None:
                 # Pool mode holds _engine_lock across the dispatch: the pool
                 # is shared mutable state (unlike an engine snapshot), so a
@@ -1165,7 +1164,7 @@ class ServingDaemon:
                 results = engine.classify_arrays(
                     pairs, mjd, strict=group[0].strict, start_index=group[0].index
                 )
-        self._note_drained(len(group), time.monotonic() - started)
+        self._note_drained(len(group), scored.duration_s)
         if version is not None:
             self.metrics.counter(f"daemon.served.{version}").inc(len(results))
         if monitor is not None and self._guard is not None:
@@ -1671,26 +1670,12 @@ class ServingDaemon:
         self.metrics.gauge("daemon.queue_depth").set(self._batcher.waiting())
         self.metrics.gauge("daemon.draining").set(1 if self._draining else 0)
         if self._pool is not None:
-            self._export_pool_metrics()
+            self._pool.export_metrics(self.metrics)
         for name, value in workspace_total_stats().items():
             if name == "hit_rate":
                 continue  # derivable from hits/misses; gauges stay raw counts
             self.metrics.gauge(f"nn.workspace_{name}").set(value)
         return self.metrics.to_prometheus()
-
-    def _export_pool_metrics(self) -> None:
-        """Fold the pool's stats into the registry as gauges."""
-        stats = self._pool.stats()
-        per_worker = stats.pop("per_worker")
-        stats.pop("broken", None)
-        for name, value in stats.items():
-            self.metrics.gauge(f"pool.{name}").set(value)
-        for entry in per_worker:
-            wid = entry["worker"]
-            self.metrics.gauge(f"pool.worker_utilization.{wid}").set(
-                entry["utilization"]
-            )
-            self.metrics.gauge(f"pool.worker_samples.{wid}").set(entry["samples"])
 
     # ------------------------------------------------------------------
     # Telemetry plumbing

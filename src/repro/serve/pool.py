@@ -62,8 +62,6 @@ import numpy as np
 
 from ..nn.threads import blas_env_settings, blas_thread_plan, pinned_blas_env
 from ..obs import trace as obs_trace
-from ..perf.instrument import count as _count
-from ..perf.instrument import timed as _timed
 from ..photometry import GRIZY
 from ..runtime.errors import CorruptArtifactError
 from ..runtime.retry import RetrySpec
@@ -321,11 +319,12 @@ def _load_worker_engine(
 
 def _task_span(wire, task_id: int, n_samples: int):
     """The worker-side ``worker.compute`` span, resumed from the wire
-    context that rode the task message; ``NULL_SPAN`` when the task's
-    request is unsampled or the worker has no segment tracer."""
+    context that rode the task message; an untraced timing scope when
+    the task's request is unsampled or the worker has no segment tracer.
+    Its duration is the worker's busy time for the task either way."""
     tracer = obs_trace.tracer()
     if wire is None or tracer is None:
-        return obs_trace.NULL_SPAN
+        return obs_trace.span("worker.compute")
     return tracer.resume(wire, "worker.compute", f"t{task_id}", n_samples=n_samples)
 
 
@@ -337,33 +336,31 @@ def _run_task(engine: InferenceEngine, buf, slot_bytes: int, msg: tuple) -> tupl
     mjd_off, res_off, _ = _slot_layout(n, v, s)
     pairs = np.ndarray((n, v, 2, s, s), dtype=np.float32, buffer=buf, offset=base)
     mjd = np.ndarray((n, v), dtype=np.float32, buffer=buf, offset=base + mjd_off)
-    started = time.perf_counter()
-    try:
-        with _task_span(wire, task_id, n):
+    with _task_span(wire, task_id, n) as compute:
+        try:
             results = engine.classify_arrays(
                 pairs, mjd, strict=strict, start_index=start_index
             )
-        diags = _store_results(buf, base + res_off, results)
-    except Exception as exc:  # noqa: BLE001 - shipped to the parent, typed
-        return ("task_error", task_id, _describe_error(exc),
-                time.perf_counter() - started)
-    return ("task_done", task_id, len(results), diags,
-            time.perf_counter() - started)
+            reply = ("task_done", task_id, len(results),
+                     _store_results(buf, base + res_off, results))
+        except Exception as exc:  # noqa: BLE001 - shipped to the parent, typed
+            compute.annotate(error=type(exc).__name__)
+            reply = ("task_error", task_id, _describe_error(exc))
+    return reply + (compute.duration_s,)
 
 
 def _run_task_pickle(engine: InferenceEngine, msg: tuple) -> tuple:
     """Pickle-transport fallback for batches larger than one slot."""
     _, task_id, pairs, mjd, strict, start_index, wire = msg
-    started = time.perf_counter()
-    try:
-        with _task_span(wire, task_id, int(np.asarray(pairs).shape[0])):
-            results = engine.classify_arrays(
+    with _task_span(wire, task_id, int(np.asarray(pairs).shape[0])) as compute:
+        try:
+            reply = ("results_pickle", task_id, engine.classify_arrays(
                 pairs, mjd, strict=strict, start_index=start_index
-            )
-    except Exception as exc:  # noqa: BLE001
-        return ("task_error", task_id, _describe_error(exc),
-                time.perf_counter() - started)
-    return ("results_pickle", task_id, results, time.perf_counter() - started)
+            ))
+        except Exception as exc:  # noqa: BLE001
+            compute.annotate(error=type(exc).__name__)
+            reply = ("task_error", task_id, _describe_error(exc))
+    return reply + (compute.duration_s,)
 
 
 def _worker_main(
@@ -559,8 +556,12 @@ class ScoringPool:
         self._crashes = 0
         self._wedges = 0
         self._overflow = 0
+        self._crashed_shards = 0
+        self._poison_samples = 0
+        self._contained_chunk_failures = 0
         self._tasks = 0
         self._samples = 0
+        # Sums of the pool.scatter / pool.gather spans' durations.
         self._scatter_s = 0.0
         self._gather_s = 0.0
         # Last-60s exponentially-decayed windows over scatter/gather work
@@ -757,7 +758,6 @@ class ScoringPool:
             return current  # another path already replaced it
         worker.crashes += 1
         self._crashes += 1
-        _count("pool.worker_crashes")
         worker.process.join(1.0)
         worker.conn.close()
         now = time.monotonic()
@@ -778,7 +778,6 @@ class ScoringPool:
             raise PoolBrokenError(self._broken)
         time.sleep(delay)
         self._respawns += 1
-        _count("pool.worker_respawns")
         replacement = self._spawn(worker.id)
         replacement.crashes = worker.crashes
         self._await_ready(replacement, self.config.start_timeout_s)
@@ -841,34 +840,35 @@ class ScoringPool:
         dispatch_parent = obs_trace.current_span()
         with self._lock:
             self._ensure_live()
-            scatter_before, gather_before = self._scatter_s, self._gather_s
             wire = obs_trace.wire_context(dispatch_parent)
-            with obs_trace.span(
-                "pool.scatter",
-                parent=dispatch_parent,
-                n_samples=n,
-                workers=len(self._workers),
-            ):
-                shards: list[_Shard] = []
-                for offset, count in self._plan_shards(n):
-                    worker = self._pick_worker()
-                    shards.append(
-                        self._submit(worker, pairs32, mjd32, offset, count,
-                                     strict, start_index, wire)
-                    )
-            with obs_trace.span(
-                "pool.gather", parent=dispatch_parent, shards=len(shards)
-            ):
-                self._gather(shards)
-                results = self._settle(shards, pairs32, mjd32, strict,
-                                       start_index)
+            scatter = gather = None
+            try:
+                with obs_trace.span(
+                    "pool.scatter",
+                    parent=dispatch_parent,
+                    n_samples=n,
+                    workers=len(self._workers),
+                ) as scatter:
+                    shards: list[_Shard] = []
+                    for offset, count in self._plan_shards(n):
+                        worker = self._pick_worker()
+                        shards.append(
+                            self._submit(worker, pairs32, mjd32, offset, count,
+                                         strict, start_index, wire)
+                        )
+                # Healing a crashed shard (respawn + per-sample re-score)
+                # happens in _settle, so it counts as gather time.
+                with obs_trace.span(
+                    "pool.gather", parent=dispatch_parent, shards=len(shards)
+                ) as gather:
+                    self._gather(shards)
+                    results = self._settle(shards, pairs32, mjd32, strict,
+                                           start_index)
+            finally:
+                self._note_window(scatter, gather)
             self._drain_trace_segments()
-            self._note_window(self._scatter_s - scatter_before,
-                              self._gather_s - gather_before)
         self._tasks += 1
         self._samples += n
-        _count("pool.batches")
-        _count("pool.samples", n)
         return results
 
     def _plan_shards(self, n: int) -> list[tuple[int, int]]:
@@ -908,22 +908,18 @@ class ScoringPool:
         mjd_off, res_off, needed = _slot_layout(n, v, s)
         task_id = self._task_counter
         self._task_counter += 1
-        started = time.perf_counter()
         slot: int | None = None
         if needed <= self.config.slot_bytes and self._free_slots:
             slot = self._free_slots.popleft()
             base = slot * self.config.slot_bytes
-            with _timed("pool.scatter"):
-                self._write_slot(base, mjd_off, shard_pairs, shard_mjd)
-                message = ("task", task_id, slot, (n, v, s), strict,
-                           start_index + offset, wire)
+            self._write_slot(base, mjd_off, shard_pairs, shard_mjd)
+            message = ("task", task_id, slot, (n, v, s), strict,
+                       start_index + offset, wire)
         else:
             self._overflow += 1
             res_off = None
-            _count("pool.shm_overflow")
-            with _timed("pool.scatter"):
-                message = ("task_pickle", task_id, shard_pairs, shard_mjd,
-                           strict, start_index + offset, wire)
+            message = ("task_pickle", task_id, shard_pairs, shard_mjd,
+                       strict, start_index + offset, wire)
         shard = _Shard(task_id, worker, slot, res_off, offset, count,
                        start_index + offset)
         try:
@@ -931,7 +927,6 @@ class ScoringPool:
         except (BrokenPipeError, OSError):
             shard.outcome = ("crash", None)
             self._free_slot(shard)
-        self._scatter_s += time.perf_counter() - started
         return shard
 
     def _write_slot(self, base: int, mjd_off: int,
@@ -961,44 +956,41 @@ class ScoringPool:
         hung GEMM or a stopped process can never hold the dispatch lock
         (and, through it, a daemon drain) forever.
         """
-        started = time.perf_counter()
         pending = {s.task_id: s for s in shards if s.outcome is None}
         deadline = time.monotonic() + self.config.task_timeout_s
-        with _timed("pool.gather"):
-            while pending:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._kill_wedged(pending)
-                    break
-                workers = {s.worker for s in pending.values()}
-                sentinels = {w.process.sentinel: w for w in workers}
-                conns = {w.conn: w for w in workers}
-                ready = connection.wait(
-                    list(conns) + list(sentinels), timeout=min(1.0, remaining)
-                )
-                progressed = False
-                for item in ready:
-                    worker = conns.get(item)
-                    if worker is None:
-                        continue
-                    progressed |= self._drain_conn(worker, pending)
-                if progressed:
-                    deadline = time.monotonic() + self.config.task_timeout_s
+        while pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                self._kill_wedged(pending)
+                break
+            workers = {s.worker for s in pending.values()}
+            sentinels = {w.process.sentinel: w for w in workers}
+            conns = {w.conn: w for w in workers}
+            ready = connection.wait(
+                list(conns) + list(sentinels), timeout=min(1.0, remaining)
+            )
+            progressed = False
+            for item in ready:
+                worker = conns.get(item)
+                if worker is None:
                     continue
-                for item in ready:
-                    worker = sentinels.get(item)
-                    if worker is None or worker.process.is_alive():
-                        continue
-                    # Dead with no message for its shard: a mid-task crash.
-                    for shard in list(pending.values()):
-                        if shard.worker is worker:
-                            shard.outcome = ("crash", None)
-                            self._free_slot(shard)
-                            del pending[shard.task_id]
-                            progressed = True
-                if progressed:
-                    deadline = time.monotonic() + self.config.task_timeout_s
-        self._gather_s += time.perf_counter() - started
+                progressed |= self._drain_conn(worker, pending)
+            if progressed:
+                deadline = time.monotonic() + self.config.task_timeout_s
+                continue
+            for item in ready:
+                worker = sentinels.get(item)
+                if worker is None or worker.process.is_alive():
+                    continue
+                # Dead with no message for its shard: a mid-task crash.
+                for shard in list(pending.values()):
+                    if shard.worker is worker:
+                        shard.outcome = ("crash", None)
+                        self._free_slot(shard)
+                        del pending[shard.task_id]
+                        progressed = True
+            if progressed:
+                deadline = time.monotonic() + self.config.task_timeout_s
 
     def _kill_wedged(self, pending: dict[int, _Shard]) -> None:
         """Terminate every silent worker still owing a shard.
@@ -1011,7 +1003,6 @@ class ScoringPool:
             worker = shard.worker
             if worker.process.is_alive():
                 self._wedges += 1
-                _count("pool.worker_wedges")
                 worker.process.terminate()
                 worker.process.join(1.0)
                 if worker.process.is_alive():  # pragma: no cover - last resort
@@ -1101,7 +1092,7 @@ class ScoringPool:
             # Crash: respawn the dead worker(s) eagerly (under the retry
             # budget), then re-score one sample at a time so the culprit
             # is isolated, not the whole shard.
-            _count("pool.crashed_shards")
+            self._crashed_shards += 1
             for dead in list(self._workers):
                 if not dead.process.is_alive():
                     self._note_crash(dead)
@@ -1150,7 +1141,7 @@ class ScoringPool:
                     )
                     if effective_strict:
                         raise crash
-                    _count("pool.poison_samples")
+                    self._poison_samples += 1
                     healed.append(
                         PredictionResult.failed(start_index + i, crash)
                     )
@@ -1162,13 +1153,19 @@ class ScoringPool:
     #: Time constant of the scatter/gather work windows in stats().
     _WINDOW_TAU_S = 60.0
 
-    def _note_window(self, scatter_s: float, gather_s: float) -> None:
-        """Fold one dispatch's scatter/gather work into the 60s windows.
+    def _note_window(self, scatter, gather) -> None:
+        """Fold one dispatch's ``pool.scatter`` / ``pool.gather`` spans
+        (``None`` for a phase a failed dispatch never reached) into the
+        totals and the 60s windows.
 
         The windows are exponentially-decayed sums (time constant 60s):
         recent dispatches dominate, an idle minute decays them to ~zero,
         so ``/healthz`` reflects current rather than lifetime behavior.
         """
+        scatter_s = scatter.duration_s if scatter is not None else 0.0
+        gather_s = gather.duration_s if gather is not None else 0.0
+        self._scatter_s += scatter_s
+        self._gather_s += gather_s
         now = time.monotonic()
         if self._window_t is not None:
             decay = math.exp(-(now - self._window_t) / self._WINDOW_TAU_S)
@@ -1259,7 +1256,7 @@ class ScoringPool:
             except Exception as exc:  # noqa: BLE001 - containment contract
                 if effective_strict:
                     raise
-                _count("pool.contained_chunk_failures")
+                self._contained_chunk_failures += 1
                 results = [
                     PredictionResult.failed(i, exc) for i in range(start, stop)
                 ]
@@ -1284,7 +1281,7 @@ class ScoringPool:
             self._epoch += 1
             epoch = self._epoch
             self._model_source = source
-            with _timed("pool.reload"):
+            with obs_trace.span("pool.reload"):
                 try:
                     self._broadcast_reload(source, epoch)
                 except PoolError:
@@ -1292,7 +1289,6 @@ class ScoringPool:
                     self._epoch += 1
                     self._broadcast_reload(previous, self._epoch)
                     raise
-            _count("pool.reloads")
             return epoch
 
     def _broadcast_reload(self, source: str, epoch: int) -> None:
@@ -1361,7 +1357,13 @@ class ScoringPool:
         return self._blas_threads
 
     def stats(self) -> dict:
-        """Pool-level and per-worker utilization/queue/occupancy stats."""
+        """Pool-level and per-worker utilization/queue/occupancy stats.
+
+        ``scatter_s_*`` / ``gather_s_*`` sum the durations of the
+        ``pool.scatter`` / ``pool.gather`` spans, the same clock the
+        span table and a traced waterfall read; gather includes healing
+        crashed shards.
+        """
         uptime = (
             time.monotonic() - self._started_at
             if self._started_at is not None
@@ -1396,6 +1398,9 @@ class ScoringPool:
             "wedges": self._wedges,
             "respawns": self._respawns,
             "shm_overflow": self._overflow,
+            "crashed_shards": self._crashed_shards,
+            "poison_samples": self._poison_samples,
+            "contained_chunk_failures": self._contained_chunk_failures,
             "reload_epoch": self._epoch,
             "scatter_s_total": round(self._scatter_s, 6),
             "gather_s_total": round(self._gather_s, 6),
@@ -1404,3 +1409,17 @@ class ScoringPool:
             "broken": self._broken,
             "per_worker": per_worker,
         }
+
+    def export_metrics(self, registry) -> None:
+        """Fold :meth:`stats` into ``registry`` as ``pool.*`` gauges."""
+        stats = self.stats()
+        per_worker = stats.pop("per_worker")
+        stats.pop("broken", None)
+        for name, value in stats.items():
+            registry.gauge(f"pool.{name}").set(value)
+        for entry in per_worker:
+            wid = entry["worker"]
+            registry.gauge(f"pool.worker_utilization.{wid}").set(
+                entry["utilization"]
+            )
+            registry.gauge(f"pool.worker_samples.{wid}").set(entry["samples"])

@@ -305,6 +305,9 @@ class TestPoolCrash:
             worker_init=CrashWorkerOnMarker(MARKER, min_batch=1),
         ) as pool:
             got = pool.classify_arrays(marked, mjd)
+            stats = pool.stats()
+        assert stats["crashed_shards"] >= 1
+        assert stats["poison_samples"] == 1
         assert len(got) == len(pairs)
         culprit = got[7]
         assert culprit.error is not None and "WorkerCrashError" in culprit.error
@@ -461,6 +464,9 @@ class TestPoolWedge:
             worker_init=WedgeWorkerOnMarker(MARKER, min_batch=1),
         ) as pool:
             got = pool.classify_arrays(marked, mjd)
+            stats = pool.stats()
+        assert stats["crashed_shards"] >= 1
+        assert stats["poison_samples"] == 1
         assert len(got) == len(pairs)
         culprit = got[7]
         assert culprit.error is not None and "WorkerCrashError" in culprit.error
