@@ -11,22 +11,19 @@ measures the three serving/training hot paths:
 * ``classify_arrays_samples_per_s`` — end-to-end serving throughput of
   :meth:`InferenceEngine.classify_arrays` (validate/repair + fused CNN +
   features + classifier) on clean traffic;
-* ``classify_arrays_float16_samples_per_s`` — the same path with
-  half-precision activation storage (float32 GEMM accumulation);
 * ``classify_arrays_mp{W}_samples_per_s`` — the same clean-traffic
   workload scattered over a ``repro.serve.pool.ScoringPool`` of W
   BLAS-pinned worker processes (W in ``MP_WORKER_COUNTS``), the
-  ``repro classify --mp`` / ``repro serve --scoring-workers`` path.
+  ``repro classify --workers W`` / ``repro serve --scoring-workers`` path.
 
 ``--check`` additionally runs the deterministic accuracy gates: the
-fused float32 path must match chunked ``predict`` bit for bit, the
-float16 path's AUC on a labelled synthetic batch must stay within
-``AUC_GATE`` of float32, and a two-worker scoring pool must reproduce
-the single-process scores at wire precision.  On machines with at
-least ``MP_GATE_MIN_CORES`` cores it also enforces the
-``MP_SPEEDUP_GATE``x multi-process speedup at four workers; on smaller
-machines the speedup gate is reported but skipped (process scatter
-cannot beat one core), while the parity gate always runs.
+fused path must match chunked ``predict`` bit for bit, and a two-worker
+scoring pool must reproduce the single-process scores at wire
+precision.  On machines with at least ``MP_GATE_MIN_CORES`` cores it
+also enforces the ``MP_SPEEDUP_GATE``x multi-process speedup at four
+workers; on smaller machines the speedup gate is reported but skipped
+(process scatter cannot beat one core), while the parity gate always
+runs.
 
 Results are written to ``BENCH_throughput.json`` at the repo root (one
 section per mode, so the committed file carries both the ``full``
@@ -70,12 +67,8 @@ TRACKED_METRICS = (
     "train_steps_per_s",
     "cnn_predict_samples_per_s",
     "classify_arrays_samples_per_s",
-    "classify_arrays_float16_samples_per_s",
     "classify_arrays_mp4_samples_per_s",
 )
-
-#: The float16 fast path may not shift AUC by more than this vs float32.
-AUC_GATE = 2e-3
 
 #: Scoring-pool sizes measured for the multi-process scaling curve.
 MP_WORKER_COUNTS = (1, 2, 4)
@@ -164,15 +157,13 @@ def bench_cnn_predict(
     return n / elapsed
 
 
-def _classify_inputs(
-    input_size: int, stamp: int, n: int, seed: int, precision: str = "float32"
-):
+def _classify_inputs(input_size: int, stamp: int, n: int, seed: int):
     """Engine + synthetic traffic shared by the serving benchmarks."""
     rng = np.random.default_rng(seed)
     pipeline = SupernovaPipeline(input_size=input_size, epochs_used=1, seed=seed)
     pipeline.cnn.eval()
     pipeline.classifier.eval()
-    engine = InferenceEngine(pipeline, prior=FluxPrior.neutral(), precision=precision)
+    engine = InferenceEngine(pipeline, prior=FluxPrior.neutral())
     visits = engine._n_used_visits
     pairs = _synth_pairs(n, stamp, rng, visits=visits)
     mjd = (57000.0 + np.arange(n * visits).reshape(n, visits) * 0.01).astype(
@@ -181,18 +172,9 @@ def _classify_inputs(
     return engine, pairs, mjd
 
 
-def _classify_workload(
-    input_size: int,
-    stamp: int,
-    n: int,
-    batch: int,
-    seed: int,
-    precision: str = "float32",
-):
+def _classify_workload(input_size: int, stamp: int, n: int, batch: int, seed: int):
     """Build the end-to-end serving workload; returns its ``run()`` closure."""
-    engine, pairs, mjd = _classify_inputs(
-        input_size, stamp, n, seed, precision=precision
-    )
+    engine, pairs, mjd = _classify_inputs(input_size, stamp, n, seed)
 
     def run() -> list:
         results = []
@@ -214,13 +196,12 @@ def bench_classify(
     batch: int,
     repeats: int,
     seed: int = 2,
-    precision: str = "float32",
 ) -> tuple[float, dict]:
     """End-to-end serving throughput in samples per second.
 
     Also returns the span-table breakdown of one more pass.
     """
-    run = _classify_workload(input_size, stamp, n, batch, seed, precision=precision)
+    run = _classify_workload(input_size, stamp, n, batch, seed)
     elapsed = _timeit(run, repeats)
 
     baseline = obs_trace.span_table()
@@ -302,54 +283,35 @@ def pool_parity_gate(
     return []
 
 
-def _rank_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mann-Whitney AUC from average ranks (tie-aware, no sklearn)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels).astype(bool)
-    order = np.argsort(scores, kind="stable")
-    _, inverse, counts = np.unique(scores[order], return_inverse=True, return_counts=True)
-    average_rank = np.cumsum(counts) - (counts - 1) / 2.0
-    ranks = np.empty(scores.size, dtype=np.float64)
-    ranks[order] = average_rank[inverse]
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return float("nan")
-    return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def _labeled_pairs(n: int, stamp: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Stamp pairs with a bright blob on half the samples (the labels)."""
+def _blob_pairs(n: int, stamp: int, rng: np.random.Generator) -> np.ndarray:
+    """Stamp pairs with a bright blob on every other sample."""
     pairs = rng.normal(0.0, 30.0, size=(n, 2, stamp, stamp)).astype(np.float32)
-    labels = (np.arange(n) % 2).astype(bool)
+    bright = (np.arange(n) % 2).astype(bool)
     yy, xx = np.mgrid[0:stamp, 0:stamp]
     psf = np.exp(
         -((yy - stamp // 2) ** 2 + (xx - stamp // 2) ** 2) / (2 * 2.5**2)
     ).astype(np.float32)
     amplitude = np.where(
-        labels,
+        bright,
         rng.uniform(200.0, 600.0, size=n),
         rng.uniform(0.0, 60.0, size=n),
     ).astype(np.float32)
     pairs[:, 1] += amplitude[:, None, None] * psf
-    return pairs, labels
+    return pairs
 
 
 def accuracy_gates(input_size: int, n: int, seed: int = 7) -> list[str]:
-    """Deterministic correctness gates on the fused/reduced-precision paths.
+    """Deterministic correctness gate on the fused serving path.
 
-    1. ``fused_forward`` at float32 must be bit-identical to the chunked
-       ``predict`` reference on a labelled synthetic batch;
-    2. the float16 path's AUC over that batch must sit within
-       :data:`AUC_GATE` of the float32 AUC (magnitudes are the score —
-       brighter transient, smaller magnitude).
+    ``fused_forward`` must be bit-identical to the chunked ``predict``
+    reference on a synthetic batch of faint and bright transients.
 
-    Returns failure strings (empty = all gates pass).
+    Returns failure strings (empty = the gate passes).
     """
     rng = np.random.default_rng(seed)
     cnn = BandwiseCNN(input_size=input_size, rng=rng)
     cnn.eval()
-    pairs, labels = _labeled_pairs(n, input_size, rng)
+    pairs = _blob_pairs(n, input_size, rng)
 
     failures: list[str] = []
     fused = cnn.fused_forward(pairs)
@@ -357,23 +319,9 @@ def accuracy_gates(input_size: int, n: int, seed: int = 7) -> list[str]:
     if not np.array_equal(fused, chunked):
         delta = float(np.max(np.abs(fused - chunked)))
         failures.append(
-            f"fused float32 path diverged from chunked predict (max |delta| {delta:g})"
+            f"fused path diverged from chunked predict (max |delta| {delta:g})"
         )
-
-    half = cnn.fused_forward(pairs, precision="float16")
-    auc32 = _rank_auc(-fused, labels)
-    auc16 = _rank_auc(-half, labels)
-    drift = abs(auc16 - auc32)
-    status = "OK" if drift <= AUC_GATE else "FAIL"
-    print(
-        f"accuracy: fused parity {'OK' if not failures else 'FAIL'}, "
-        f"AUC f32 {auc32:.4f} vs f16 {auc16:.4f} "
-        f"(|drift| {drift:.2e}, gate {AUC_GATE:.0e}) {status}"
-    )
-    if not np.isfinite(drift) or drift > AUC_GATE:
-        failures.append(
-            f"float16 AUC drifted {drift:.2e} from float32 (gate {AUC_GATE:.0e})"
-        )
+    print(f"accuracy: fused parity {'OK' if not failures else 'FAIL'}")
     return failures
 
 
@@ -620,18 +568,6 @@ def run_benchmark(smoke: bool) -> dict:
         config["repeats"],
     )
     print(f"classify: {classify_rate:8.2f} samples/s (batch {config['classify_batch']})")
-    classify16_rate, _ = bench_classify(
-        config["input_size"],
-        config["stamp"],
-        config["classify_n"],
-        config["classify_batch"],
-        config["repeats"],
-        precision="float16",
-    )
-    print(
-        f"classify (float16): {classify16_rate:8.2f} samples/s "
-        f"(batch {config['classify_batch']})"
-    )
 
     mp_metrics: dict = {}
     mp_scaling: dict = {}
@@ -663,7 +599,6 @@ def run_benchmark(smoke: bool) -> dict:
             "train_steps_per_s": round(train_rate, 2),
             "cnn_predict_samples_per_s": round(predict_rate, 2),
             "classify_arrays_samples_per_s": round(classify_rate, 2),
-            "classify_arrays_float16_samples_per_s": round(classify16_rate, 2),
             **mp_metrics,
         },
         "mp_scaling": mp_scaling,
@@ -750,11 +685,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"regression check vs {args.out} (tolerance {args.tolerance:.0%}):")
             failures = check_regression(section, baseline_section, args.tolerance)
         # The accuracy gates are deterministic (no timing), so they run
-        # on every --check: fused parity and the float16 AUC budget.
-        # The batch is sized for AUC resolution, not for timing — with
-        # fewer than ~128 samples a single rank flip already exceeds
-        # the gate (1 / (n/2)^2 > AUC_GATE), so smoke mode must not
-        # shrink it.
+        # on every --check, smoke mode included, on at least 160 pairs.
         failures += accuracy_gates(
             section["config"]["input_size"],
             n=max(section["config"]["classify_n"], 160),

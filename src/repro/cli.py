@@ -246,15 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cl.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="classify batches on N threads (BLAS releases the GIL); "
-        "results still stream in order",
-    )
-    cl.add_argument(
-        "--mp", action="store_true",
-        help="score on N worker *processes* (a shared-memory ScoringPool) "
-        "instead of threads; bit-compatible with the single-process "
-        "path and still streams in order.  With --workers 1 this is a "
-        "pool of one process — the single-process fallback",
+        help="with N >= 2, score on N worker processes (a shared-memory "
+        "ScoringPool); output matches the in-process path (N = 1) at "
+        "wire precision and still streams in order",
     )
     _add_telemetry_arg(cl)
 
@@ -318,12 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--strict", action="store_true",
         help="refuse degraded samples with a typed 422 instead of masking",
-    )
-    srv.add_argument(
-        "--precision", choices=("float32", "float16"), default="float32",
-        help="inference activation storage precision of the fused CNN "
-        "path (GEMMs always accumulate in float32; float16 accuracy is "
-        "gated by the benchmark's AUC check)",
     )
     srv.add_argument(
         "--trace", nargs="?", const="always", default=None, metavar="SPEC",
@@ -586,35 +574,25 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    from .serve import InferenceEngine
+    from .serve import InferenceEngine, PoolConfig, ScoringPool
 
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     dataset = load_dataset(args.dataset, require_finite=args.strict)
     n_degraded = 0
     confidences = []
     sink = open(args.out, "w") if args.out else sys.stdout
     pool = None
-    if args.mp:
-        from .serve import PoolConfig, ScoringPool
-
+    if args.workers > 1:
         pool = ScoringPool(
             model_source=args.model,
-            config=PoolConfig(workers=max(1, args.workers)),
-            engine_kwargs={"strict": args.strict},
-        ).start()
-        stream = pool.stream(
-            dataset, batch_size=args.batch_size, strict=args.strict
-        )
-    else:
-        engine = InferenceEngine.from_directory(args.model)
-        stream = engine.stream(
-            dataset,
-            batch_size=args.batch_size,
+            config=PoolConfig(workers=args.workers),
             strict=args.strict,
-            workers=args.workers,
-            # Thread tasks amortize GEMM setup over at least 32 samples
-            # even when --batch-size streams finer-grained.
-            min_task_size=32 if args.workers > 1 else None,
-        )
+        ).start()
+        scorer = pool
+    else:
+        scorer = InferenceEngine.from_directory(args.model)
+    stream = scorer.stream(dataset, batch_size=args.batch_size, strict=args.strict)
     try:
         for result in stream:
             n_degraded += result.degraded
@@ -690,11 +668,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 divergence_budget=args.divergence_budget,
                 sustained_checks=args.sustained_drift_checks,
             ),
-            engine_kwargs={"precision": args.precision},
         )
         model_source = f"registry {args.registry} ({daemon._engine_version})"
     else:
-        engine = InferenceEngine.from_directory(args.model, precision=args.precision)
+        engine = InferenceEngine.from_directory(args.model)
         daemon = ServingDaemon(engine, config)
         model_source = args.model
     daemon.start()

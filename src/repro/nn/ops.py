@@ -43,9 +43,9 @@ __all__ = [
     "workspace_clear",
 ]
 
-#: Workspaces are per-thread (the serving thread pool runs conv2d
-#: concurrently) and capped so pathological shape churn cannot hoard
-#: memory.
+#: Workspaces are per-thread (the serving daemon's scoring and shadow
+#: threads run conv2d concurrently) and capped so pathological shape
+#: churn cannot hoard memory.
 _MAX_WORKSPACES = 32
 
 _workspaces = threading.local()
@@ -146,7 +146,7 @@ def workspace_stats() -> dict:
 def workspace_total_stats() -> dict:
     """Aggregate workspace stats across every live thread.
 
-    The serving daemon's thread pool keeps one cache per worker thread;
+    The serving daemon keeps one cache per scoring or shadow thread;
     this is the process-wide view the `/metrics` gauges export.  Dead
     threads' states have been garbage-collected by the time they leave
     :data:`_all_states`, so ``bytes`` reflects memory still held.
@@ -280,19 +280,12 @@ def conv2d(
     with _span("nn.conv2d"):
         x_padded = pad2d(x.data, padding)
         batch = x_padded.shape[0]
-        if x_padded.dtype == np.float16:
-            # Promote before im2col: converting the contiguous input once
-            # is vectorised, while an f16->f32 cast inside the strided
-            # column copy is element-at-a-time.  Exact (f16 c f32), so
-            # the GEMM sees the same float32 operands either way.
-            x_padded = x_padded.astype(np.float32)
         cols = _im2col(x_padded, kernel_h, kernel_w, stride)
         out_h, out_w = cols.shape[4], cols.shape[5]
         k_dim = in_channels * kernel_h * kernel_w
         n_loc = out_h * out_w
-        # float16 inputs accumulate in float32: result_type promotes the
-        # column workspace and the GEMM, and the output is only narrowed
-        # back to storage precision after the bias add.
+        # Mixed float32/float64 operands (gradient checks under
+        # preserve_float64) promote the column workspace and the GEMM.
         out_dtype = np.result_type(x.data.dtype, weight.data.dtype)
 
         requires = is_grad_enabled() and (
@@ -321,8 +314,6 @@ def conv2d(
         if bias is not None:
             out_data += bias.data.reshape(1, out_channels, 1)
         out_data = out_data.reshape(batch, out_channels, out_h, out_w)
-        if not requires and x.data.dtype == np.float16:
-            out_data = out_data.astype(np.float16)
 
         padded_shape = x_padded.shape
 

@@ -26,23 +26,21 @@ __all__ = [
     "is_grad_enabled",
     "preserve_float64",
     "float64_preserved",
-    "inference_precision",
-    "inference_dtype",
 ]
 
 class _TensorFlags(threading.local):
     """Per-thread autograd/dtype mode flags.
 
-    Thread-local (like ``torch.no_grad``) so that inference threads —
-    e.g. ``InferenceEngine.stream(workers=N)`` calling ``predict()``
-    concurrently — cannot tear the enter/exit save-restore of a shared
-    flag and leave graph recording disabled for the whole process.
+    Thread-local (like ``torch.no_grad``) so that threads sharing the
+    process — the serving daemon's handler, scoring and shadow threads
+    each entering ``no_grad`` around a forward pass — cannot tear the
+    enter/exit save-restore of a shared flag and leave graph recording
+    disabled for the whole process.
     """
 
     def __init__(self) -> None:
         self.grad_enabled = True
         self.keep_float64 = False
-        self.keep_float16 = False
 
 
 _FLAGS = _TensorFlags()
@@ -96,49 +94,6 @@ class preserve_float64:
 def float64_preserved() -> bool:
     """Whether :class:`Tensor` currently keeps float64 inputs as float64."""
     return _FLAGS.keep_float64
-
-
-class inference_precision:
-    """Context manager selecting the inference activation storage dtype.
-
-    ``inference_precision("float16")`` lets float16 arrays keep their
-    dtype inside :class:`Tensor` (instead of being promoted to float32
-    by the dtype policy), enabling the reduced-precision serving path:
-    activations are *stored* half-precision between layers while every
-    GEMM still *accumulates* in float32 (see ``repro.nn.ops.conv2d``).
-    ``inference_precision("float32")`` is the identity and exists so the
-    precision can be threaded through call sites unconditionally::
-
-        with nn.no_grad(), nn.inference_precision("float16"):
-            out = model(nn.Tensor(x.astype(np.float16)))
-
-    Training numerics are untouched: the flag only widens what the
-    dtype policy accepts, and nothing on the training path constructs
-    float16 arrays.  The flag is thread-local, like :class:`no_grad`.
-    """
-
-    _DTYPES = {"float32": np.float32, "float16": np.float16}
-
-    def __init__(self, precision: str = "float32") -> None:
-        if precision not in self._DTYPES:
-            raise ValueError(
-                f"unknown inference precision {precision!r}; "
-                f"expected one of {sorted(self._DTYPES)}"
-            )
-        self.precision = precision
-
-    def __enter__(self) -> "inference_precision":
-        self._previous = _FLAGS.keep_float16
-        _FLAGS.keep_float16 = self.precision == "float16"
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        _FLAGS.keep_float16 = self._previous
-
-
-def inference_dtype() -> np.dtype:
-    """Storage dtype of the active inference-precision mode."""
-    return np.dtype(np.float16 if _FLAGS.keep_float16 else np.float32)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -198,8 +153,7 @@ class Tensor:
             if arr.dtype != np.dtype(dtype):
                 arr = arr.astype(dtype)
         elif arr.dtype != np.float32 and not (
-            (arr.dtype == np.float64 and _FLAGS.keep_float64)
-            or (arr.dtype == np.float16 and _FLAGS.keep_float16)
+            arr.dtype == np.float64 and _FLAGS.keep_float64
         ):
             arr = arr.astype(np.float32)
         self.data: np.ndarray = arr

@@ -24,7 +24,7 @@ Records look like::
 ``schema`` is :data:`SCHEMA_VERSION` and bumps on any breaking change to
 the required fields; :mod:`repro.obs.schema` validates records against
 it.  Writing is serialised under a lock, so one log is safe to share
-across the serving thread pool; ``seq`` is a per-log monotonic counter
+across the serving daemon's threads; ``seq`` is a per-log monotonic counter
 that makes the interleaved stream totally ordered even when two events
 land in the same clock tick.
 """

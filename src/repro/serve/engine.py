@@ -229,17 +229,11 @@ class InferenceEngine:
         when present *and* a telemetry session is active, served scores
         and flux features feed a :class:`~repro.obs.drift.DriftMonitor`
         that raises ``drift.flagged`` events past its thresholds.
-    fused:
-        When True (default) the CNN stage runs the whole flattened
-        ``(N·V)`` visit batch through :meth:`BandwiseCNN.fused_forward`
-        — one GEMM per conv layer — instead of the chunked
-        :meth:`~repro.core.flux_cnn.BandwiseCNN.predict` path.  At
-        float32 the two are bit-identical.
-    precision:
-        ``"float32"`` (default) or ``"float16"`` — the inference
-        activation storage precision of the fused path (GEMMs always
-        accumulate in float32).  Implies ``fused=True`` behaviour for
-        the CNN stage; accuracy is gated by the benchmark's AUC check.
+
+    The CNN stage runs the whole flattened ``(N·V)`` visit batch through
+    :meth:`~repro.core.flux_cnn.BandwiseCNN.fused_forward` — one GEMM
+    per conv layer — which is bit-identical to the chunked
+    :meth:`~repro.core.flux_cnn.BandwiseCNN.predict` reference.
     """
 
     def __init__(
@@ -249,19 +243,11 @@ class InferenceEngine:
         repair: RepairConfig | None = None,
         strict: bool = False,
         drift_baseline: DriftBaseline | None = None,
-        fused: bool = True,
-        precision: str = "float32",
     ) -> None:
-        if precision not in ("float32", "float16"):
-            raise ValueError(
-                f"unknown precision {precision!r}; expected 'float32' or 'float16'"
-            )
         self.pipeline = pipeline
         self.prior = prior or FluxPrior.neutral()
         self.repair = repair or RepairConfig()
         self.strict = strict
-        self.fused = bool(fused) and hasattr(pipeline.cnn, "fused_forward")
-        self.precision = precision
         self.drift_baseline = drift_baseline
         self.drift_monitor = (
             DriftMonitor(drift_baseline) if drift_baseline is not None else None
@@ -282,8 +268,6 @@ class InferenceEngine:
         directory: str,
         repair: RepairConfig | None = None,
         strict: bool = False,
-        fused: bool = True,
-        precision: str = "float32",
     ) -> "InferenceEngine":
         """Build an engine from a :meth:`SupernovaPipeline.save` directory.
 
@@ -308,7 +292,7 @@ class InferenceEngine:
                     model_dir=os.fspath(directory),
                 )
         return cls(pipeline, prior=prior, repair=repair, strict=strict,
-                   drift_baseline=baseline, fused=fused, precision=precision)
+                   drift_baseline=baseline)
 
     def save(self, directory: str) -> None:
         """Persist the pipeline, flux prior and (if set) drift baseline."""
@@ -467,12 +451,7 @@ class InferenceEngine:
             else:
                 cnn_input = repaired_flat[flat_idx]
             with _trace.span("serve.cnn", n_visits=int(flat_idx.size)):
-                if self.fused:
-                    mags = self.pipeline.cnn.fused_forward(
-                        cnn_input, precision=self.precision
-                    )
-                else:
-                    mags = self.pipeline.cnn.predict(cnn_input)
+                mags = self.pipeline.cnn.fused_forward(cnn_input)
             flux.reshape(-1)[flat_idx] = 10.0 ** (-0.4 * (mags - 27.0))
 
         with _trace.span("serve.features"):
@@ -529,8 +508,9 @@ class InferenceEngine:
     ) -> None:
         """Write one audit event per served sample plus batch metrics.
 
-        Called only with a live telemetry session; safe under the
-        ``stream(workers=N)`` thread pool — the event log and the
+        Called only with a live telemetry session; safe when several
+        threads call :meth:`classify_arrays` at once (the serving
+        daemon's handler and scoring threads) — the event log and the
         metrics instruments serialise internally, and the drift monitor
         transition check runs under the engine's own lock.
         """
@@ -624,102 +604,21 @@ class InferenceEngine:
         dataset: SupernovaDataset,
         batch_size: int = 64,
         strict: bool | None = None,
-        workers: int = 1,
-        min_task_size: int | None = None,
     ) -> Iterator[PredictionResult]:
         """Yield :class:`PredictionResult` objects batch by batch.
 
         The classify CLI consumes this to emit per-sample JSON lines as
         soon as each batch clears the CNN, rather than after the whole
-        dataset.
-
-        With ``workers > 1`` micro-batches are classified on a thread
-        pool — the BLAS GEMMs behind the CNN release the GIL, so batches
-        genuinely overlap — while results still stream in request order.
-        ``min_task_size`` coalesces adjacent micro-batches into thread
-        tasks of at least that many samples (rounded up to whole
-        batches): small ``--batch-size`` values keep their streaming
-        granularity on the single-threaded path while the threaded path
-        amortizes per-GEMM setup over engine-sized batches instead of
-        scoring slivers.  ``None`` (the default) keeps one task per
-        micro-batch, which is also the containment granularity below.
-
-        A non-strict exception escaping one worker's batch (a scoring
-        bug, a poison payload the validators missed) is contained to
-        that batch: its samples come back as
-        :meth:`PredictionResult.failed` placeholders and every other
-        batch still streams.  Strict mode (``strict=True`` or the
-        engine default) re-raises instead — but only after the pool has
-        been told to drop the remaining batches, so the generator never
-        abandons live futures.
+        dataset.  Multi-worker scoring goes through
+        :meth:`repro.serve.pool.ScoringPool.stream`.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if min_task_size is not None and min_task_size < 1:
-            raise ValueError("min_task_size must be >= 1")
-        effective_strict = self.strict if strict is None else strict
-        starts = range(0, len(dataset), batch_size)
-        if workers == 1:
-            for start in starts:
-                stop = min(start + batch_size, len(dataset))
-                yield from self.classify_arrays(
-                    dataset.pairs[start:stop],
-                    dataset.visit_mjd[start:stop],
-                    strict=strict,
-                    start_index=start,
-                )
-            return
-
-        # Pin eval mode up front: predict() toggles train/eval on the
-        # shared modules, which must not race across worker threads.
-        self.pipeline.cnn.eval()
-        self.pipeline.classifier.eval()
-        from concurrent.futures import ThreadPoolExecutor
-
-        task_size = batch_size
-        if min_task_size is not None and min_task_size > batch_size:
-            task_size = -(-min_task_size // batch_size) * batch_size
-        starts = range(0, len(dataset), task_size)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    self.classify_arrays,
-                    dataset.pairs[start : start + task_size],
-                    dataset.visit_mjd[start : start + task_size],
-                    strict,
-                    start,
-                )
-                for start in starts
-            ]
-            try:
-                for start, future in zip(starts, futures):
-                    try:
-                        results = future.result()
-                    except Exception as exc:
-                        if effective_strict:
-                            raise
-                        stop = min(start + task_size, len(dataset))
-                        session = obs.active()
-                        if session is not None:
-                            session.emit(
-                                "serve.batch_failed",
-                                level="error",
-                                message=f"batch at {start} failed: {exc}",
-                                start_index=start,
-                                n_samples=stop - start,
-                                error_type=type(exc).__name__,
-                            )
-                            session.metrics.counter("serve.batch_failures").inc()
-                        results = [
-                            PredictionResult.failed(i, exc)
-                            for i in range(start, stop)
-                        ]
-                    yield from results
-            except BaseException:
-                # Strict re-raise or a consumer closing the generator:
-                # don't leave queued batches running behind our back.
-                for pending in futures:
-                    pending.cancel()
-                raise
+        for start in range(0, len(dataset), batch_size):
+            stop = min(start + batch_size, len(dataset))
+            yield from self.classify_arrays(
+                dataset.pairs[start:stop],
+                dataset.visit_mjd[start:stop],
+                strict=strict,
+                start_index=start,
+            )

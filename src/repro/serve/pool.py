@@ -17,9 +17,8 @@ scatters micro-batches onto them:
   threads and N workers never oversubscribe the machine.
 * **Deterministic gather.**  A batch of ``n`` samples is split into
   contiguous shards, one per worker, and results are reassembled in
-  request order.  At float32 the engine's scores are chunk-size
-  invariant, so pool output is bit-identical to the single-process
-  path; float16 is covered by the benchmark's AUC gate.
+  request order.  The engine's scores are chunk-size invariant, so
+  pool output is bit-identical to the single-process path.
 * **Crash isolation.**  A worker dying mid-shard (OOM-killed, SIGKILL)
   is respawned under a :class:`~repro.runtime.retry.RetrySpec` budget
   and its shard is re-scored sample by sample; a sample that kills the
@@ -305,11 +304,10 @@ def _rebuild_error(desc: dict) -> Exception:
 # ----------------------------------------------------------------------
 def _load_worker_engine(
     model_source: str,
-    engine_kwargs: dict,
     worker_init: Callable | None,
     worker_id: int,
 ) -> InferenceEngine:
-    engine = InferenceEngine.from_directory(model_source, **engine_kwargs)
+    engine = InferenceEngine.from_directory(model_source)
     engine.pipeline.cnn.eval()
     engine.pipeline.classifier.eval()
     if worker_init is not None:
@@ -369,7 +367,6 @@ def _worker_main(
     slot_bytes: int,
     worker_id: int,
     model_source: str,
-    engine_kwargs: dict,
     worker_init: Callable | None,
     trace_dir: str | None = None,
 ) -> None:
@@ -401,9 +398,7 @@ def _worker_main(
         # unregister here: that would strip the parent's registration and
         # break its own unlink-at-close bookkeeping.
         shm = shared_memory.SharedMemory(name=shm_name)
-        engine = _load_worker_engine(
-            model_source, engine_kwargs, worker_init, worker_id
-        )
+        engine = _load_worker_engine(model_source, worker_init, worker_id)
     except Exception as exc:  # noqa: BLE001 - boot failures go to the parent
         try:
             conn.send(("boot_error", worker_id, _describe_error(exc)))
@@ -424,9 +419,7 @@ def _worker_main(
         if kind == "reload":
             _, epoch, source = msg
             try:
-                engine = _load_worker_engine(
-                    source, engine_kwargs, worker_init, worker_id
-                )
+                engine = _load_worker_engine(source, worker_init, worker_id)
                 conn.send(("reload_ack", worker_id, epoch, None))
             except Exception as exc:  # noqa: BLE001
                 conn.send(("reload_ack", worker_id, epoch, _describe_error(exc)))
@@ -502,9 +495,8 @@ class ScoringPool:
     Construct with either ``model_source`` (a saved model directory —
     what ``repro serve --registry`` and ``repro classify --model``
     already have) or a live ``engine`` (persisted once to a pool-owned
-    temp directory so spawned workers can load it).  ``engine_kwargs``
-    are forwarded to :meth:`InferenceEngine.from_directory` in every
-    worker and on every reload, mirroring the daemon's contract.
+    temp directory so spawned workers can load it).  ``strict`` is the
+    default for calls that pass ``strict=None``, like the engine's.
 
     ``worker_init(engine, worker_id)`` is the chaos seam: a *picklable*
     callable applied to each worker's engine after load (the pool
@@ -517,14 +509,13 @@ class ScoringPool:
         model_source: str | os.PathLike | None = None,
         engine: InferenceEngine | None = None,
         config: PoolConfig | None = None,
-        engine_kwargs: dict | None = None,
+        strict: bool = False,
         worker_init: Callable | None = None,
     ) -> None:
         if (model_source is None) == (engine is None):
             raise ValueError("pass exactly one of model_source or engine")
         self.config = config or PoolConfig()
-        self._engine_kwargs = dict(engine_kwargs or {})
-        self._default_strict = bool(self._engine_kwargs.get("strict", False))
+        self._default_strict = bool(strict)
         self._worker_init = worker_init
         self._engine = engine
         self._model_source = (
@@ -706,7 +697,6 @@ class ScoringPool:
                 self.config.slot_bytes,
                 worker_id,
                 self._model_source,
-                self._engine_kwargs,
                 self._worker_init,
                 self._trace_dir,
             ),
@@ -1231,9 +1221,13 @@ class ScoringPool:
         The pool-backed analogue of :meth:`InferenceEngine.stream`:
         chunks of ``batch_size * workers`` samples are scattered so every
         worker scores one engine-sized batch per round, and results
-        stream in request order.  Non-strict chunk failures are contained
-        as :meth:`PredictionResult.failed` placeholders, matching the
-        thread path's contract.
+        stream in request order.  A non-strict exception escaping one
+        chunk (a scoring bug, a poison payload the validators missed) is
+        contained to that chunk: its samples come back as
+        :meth:`PredictionResult.failed` placeholders, every other chunk
+        still streams, and ``stats()["contained_chunk_failures"]`` counts
+        it.  Strict mode re-raises instead, and a broken pool always
+        re-raises.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")

@@ -199,6 +199,42 @@ class TestClassify:
         assert code == 2
         assert "pairs" in capsys.readouterr().err
 
+    def test_workers_2_output_matches_in_process(self, served, tmp_path):
+        model_dir, dataset_path, dataset = served
+        # 10 samples = batch_size 5 x 2 workers, so the pool's shards
+        # are exactly the in-process batches.
+        assert len(dataset) == 5 * 2
+        outputs = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}.jsonl"
+            code = main([
+                "classify", "--model", str(model_dir),
+                "--dataset", str(dataset_path), "--out", str(out),
+                "--batch-size", "5", "--workers", workers,
+            ])
+            assert code == 0
+            outputs[workers] = out.read_bytes()
+        assert outputs["2"] == outputs["1"]
+        assert len(outputs["1"].splitlines()) == len(dataset)
+
+    def test_mp_flag_is_gone(self, served):
+        model_dir, dataset_path, _ = served
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([
+                "classify", "--model", str(model_dir),
+                "--dataset", str(dataset_path), "--mp",
+            ])
+        assert excinfo.value.code == 2
+
+    def test_zero_workers_exits_2(self, served, capsys):
+        model_dir, dataset_path, _ = served
+        code = main([
+            "classify", "--model", str(model_dir),
+            "--dataset", str(dataset_path), "--workers", "0",
+        ])
+        assert code == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+
     def test_missing_dataset_exits_2(self, served, capsys):
         model_dir, _, _ = served
         code = main([

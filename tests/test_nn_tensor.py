@@ -283,7 +283,8 @@ class TestGraphMechanics:
 
 def test_no_grad_is_thread_local():
     """A worker thread's no_grad must not disable recording elsewhere
-    (concurrent ``predict()`` calls under ``stream(workers=N)``)."""
+    (the serving daemon's scoring and shadow threads run inference while
+    other threads share ``nn``)."""
     import threading
 
     from repro.nn.tensor import is_grad_enabled, no_grad

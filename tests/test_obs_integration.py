@@ -1,6 +1,7 @@
-"""Telemetry end-to-end: serving audit records, concurrent stream() writes,
+"""Telemetry end-to-end: serving audit records, concurrent classify writes,
 drift tripping on the dropped-band ladder, and the CLI obs-smoke path."""
 
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -89,13 +90,37 @@ class TestServeAudit:
         assert snapshot["counters"]["serve.degraded"] == len(dataset)
 
     def test_concurrent_stream_audit_is_consistent(self, engine, dataset, tmp_path):
+        # Four plain threads share one engine, as the serving daemon's
+        # handler and scoring threads do; eval mode is pinned up front
+        # the way the daemon pins it after every model load.
+        engine.pipeline.cnn.eval()
+        engine.pipeline.classifier.eval()
+        starts = list(range(0, len(dataset), 2))
+        results: dict[int, list] = {}
+
+        def score(own_starts):
+            for start in own_starts:
+                results[start] = engine.classify_arrays(
+                    dataset.pairs[start : start + 2],
+                    dataset.visit_mjd[start : start + 2],
+                    start_index=start,
+                )
+
         directory = tmp_path / "t"
         obs.start(directory)
         try:
-            results = list(engine.stream(dataset, batch_size=2, workers=4))
+            threads = [
+                threading.Thread(target=score, args=(starts[k::4],))
+                for k in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
         finally:
             obs.stop()
-        assert len(results) == len(dataset)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sum(len(batch) for batch in results.values()) == len(dataset)
         n, errors = validate_file(directory / EVENTS_FILE)
         assert errors == []  # no interleaved/torn lines, seq strictly monotonic
         requests = _events(directory, "serve.request")

@@ -41,7 +41,6 @@ from repro.runtime.faults import (
 from repro.runtime.retry import RetrySpec
 from repro.serve import (
     DegradedInputError,
-    InferenceEngine,
     PoolBrokenError,
     PoolConfig,
     PredictionResult,
@@ -211,22 +210,6 @@ class TestPoolParity:
         want = shard_reference(engine, 2, corrupted, mjd)
         got = shared_pool.classify_arrays(corrupted, mjd)
         assert any(r.degraded for r in want)  # the corruption bites
-        assert_bit_exact(got, want)
-
-    def test_float16_precision_parity(self, batch, tmp_path):
-        pairs, mjd = batch
-        engine16 = make_serve_engine(seed=0)
-        engine16.save(str(tmp_path / "model"))
-        engine16 = InferenceEngine.from_directory(
-            tmp_path / "model", precision="float16"
-        )
-        want = shard_reference(engine16, 2, pairs, mjd)
-        with ScoringPool(
-            model_source=tmp_path / "model",
-            config=PoolConfig(workers=2),
-            engine_kwargs={"precision": "float16"},
-        ) as pool:
-            got = pool.classify_arrays(pairs, mjd)
         assert_bit_exact(got, want)
 
     def test_strict_error_matches_single_process(self, engine, batch):
@@ -415,6 +398,49 @@ class TestPoolStream:
         assert len(got) == len(pairs)
         assert got[3].error is not None
         assert all(r.error is None for i, r in enumerate(got) if i != 3)
+
+    @staticmethod
+    def _fail_chunk_at(pool, monkeypatch, failing_start):
+        real = pool.classify_arrays
+
+        def flaky(pairs, mjd, strict=None, start_index=0):
+            if start_index == failing_start:
+                raise RuntimeError("injected batch failure")
+            return real(pairs, mjd, strict=strict, start_index=start_index)
+
+        monkeypatch.setattr(pool, "classify_arrays", flaky)
+
+    def test_stream_contains_raised_chunk_failure(
+        self, shared_pool, batch, monkeypatch
+    ):
+        """A chunk raising in the parent must not sink the stream."""
+        pairs, mjd = batch
+        before = shared_pool.stats()["contained_chunk_failures"]
+        self._fail_chunk_at(shared_pool, monkeypatch, 4)
+        # batch_size 2 x 2 workers: chunks start at 0, 4 and 8.
+        got = list(shared_pool.stream(_ArrayDataset(pairs, mjd), batch_size=2))
+        assert [r.index for r in got] == list(range(len(pairs)))
+        failed = [r for r in got if r.error is not None]
+        assert [r.index for r in failed] == [4, 5, 6, 7]
+        for result in failed:
+            assert result.degraded and result.confidence == 0.0
+            assert result.probability == 0.5 and result.usable_bands == []
+            assert "RuntimeError" in result.error
+            assert result.to_dict()["error"] == result.error
+        assert all(r.error is None for r in got if r.index not in (4, 5, 6, 7))
+        assert shared_pool.stats()["contained_chunk_failures"] == before + 1
+
+    def test_stream_strict_reraises_chunk_failure(
+        self, shared_pool, batch, monkeypatch
+    ):
+        pairs, mjd = batch
+        self._fail_chunk_at(shared_pool, monkeypatch, 4)
+        with pytest.raises(RuntimeError, match="injected batch failure"):
+            list(
+                shared_pool.stream(
+                    _ArrayDataset(pairs, mjd), batch_size=2, strict=True
+                )
+            )
 
 
 class TestPoolWedge:
