@@ -359,14 +359,17 @@ class _BaseTracer:
         name: str,
         duration_s: float,
         parent: Optional[Span],
+        end_offset_s: float = 0.0,
         **attrs: Any,
     ) -> None:
-        """Record an already-measured stage as a completed child span."""
+        """Record an already-measured stage as a completed child span.
+
+        The stage ended ``end_offset_s`` seconds ago (default: now)."""
         _tally(name, duration_s)
         if not isinstance(parent, Span):
             return
         child = self.child(parent, name, attrs)
-        child.start_ts = round(time.time() - duration_s, 6)
+        child.start_ts = round(time.time() - end_offset_s - duration_s, 6)
         child._ended = True
         child.duration_s = round(float(duration_s), 6)
         self._finish(child)

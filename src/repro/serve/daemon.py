@@ -528,26 +528,37 @@ class _Handler(BaseHTTPRequestHandler):
     #: silent connection cannot pin its handler thread (and the
     #: block_on_close join) forever.
     timeout = 10.0
+    #: TCP_NODELAY on every accepted connection (applied by
+    #: StreamRequestHandler.setup).  A response leaves as two writes,
+    #: headers then body; under Nagle the body waits for the client to
+    #: ACK the headers, and a busy keep-alive client delays that ACK by
+    #: ~40 ms.
+    disable_nagle_algorithm = True
 
     # Telemetry owns request logging; the default stderr chatter would
     # swamp the drain test's pipe.
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         pass
 
+    def _send(self, status: int, body: bytes, content_type: str,
+              headers: dict[str, str] | None = None) -> int:
+        """Write one complete response; returns the body size in bytes."""
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            for name, value in (headers or {}).items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True  # client went away mid-response
+        return len(body)
+
     def _send_json(self, status: int, payload: dict,
                    headers: dict[str, str] | None = None) -> int:
         body = json.dumps(payload, separators=(",", ":")).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        try:
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away; the response is typed either way
-        return len(body)
+        return self._send(status, body, "application/json", headers)
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server contract
@@ -557,13 +568,11 @@ class _Handler(BaseHTTPRequestHandler):
             status, payload = owner.health()
             n_bytes = self._send_json(status, payload)
         elif self.path == "/metrics":
-            text = owner.prometheus().encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-            self.send_header("Content-Length", str(len(text)))
-            self.end_headers()
-            self.wfile.write(text)
-            status, n_bytes = 200, len(text)
+            status = 200
+            n_bytes = self._send(
+                status, owner.prometheus().encode(),
+                "text/plain; version=0.0.4; charset=utf-8",
+            )
         else:
             status = 404
             n_bytes = self._send_json(
@@ -975,9 +984,10 @@ class ServingDaemon:
         """Admit, wait and answer one ``/classify`` request body.
 
         ``read_s`` is how long the handler spent reading the body off
-        the socket; a sampled trace's root span is backdated by it and
-        gets an ``http.read`` child, so the waterfall starts at the
-        first byte rather than at admission.
+        the socket.  A sampled trace's root span is backdated by the read
+        and the body decode, and gets ``http.read`` and ``http.parse``
+        children placed end to end, so the waterfall starts at the first
+        byte rather than at admission.
         """
         if self._draining:
             return (
@@ -985,11 +995,13 @@ class ServingDaemon:
                 _error_payload(None, "draining", "daemon is draining; retry elsewhere"),
                 None,
             )
+        parse_from = time.monotonic()
         try:
             pairs, mjd, strict, deadline_s = self._parse_sample(raw)
         except ValueError as exc:
             self.metrics.counter("daemon.bad_requests").inc()
             return 400, _error_payload(None, "bad_request", str(exc)), None
+        parse_s = time.monotonic() - parse_from
 
         tracer = obs_trace.tracer()
 
@@ -1001,12 +1013,16 @@ class ServingDaemon:
             if isinstance(tracer, obs_trace.Tracer):
                 trace = tracer.start_trace(
                     request_id,
-                    t_offset_s=read_s,
+                    t_offset_s=read_s + parse_s,
                     n_visits=int(mjd.shape[0]),
                     deadline_ms=round(deadline_s * 1000.0, 3),
                 )
-                if trace is not None and read_s > 0.0:
-                    tracer.record("http.read", read_s, parent=trace)
+                if trace is not None:
+                    if read_s > 0.0:
+                        tracer.record(
+                            "http.read", read_s, parent=trace, end_offset_s=parse_s
+                        )
+                    tracer.record("http.parse", parse_s, parent=trace)
             return _Pending(
                 index,
                 request_id,

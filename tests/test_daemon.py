@@ -1,14 +1,19 @@
 """Serving daemon: round trips, admission, deadlines, watchdog, drain."""
 
+import http.client
+import io
 import json
+import statistics
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
 
 from repro.runtime import RetrySpec, WedgeBatch
 from repro.serve import DaemonConfig, ServingDaemon
+from repro.serve.daemon import _Handler
 
 from .helpers import (
     classify_body,
@@ -41,6 +46,15 @@ def _post_async(port, body, out, key, timeout=30.0):
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
     return thread
+
+
+def _exchange(conn, method, path, body=None):
+    """One request on a persistent connection; returns
+    ``(status, response, body_bytes)`` and leaves the connection open."""
+    headers = {"Content-Type": "application/json"} if body is not None else {}
+    conn.request(method, path, body=body, headers=headers)
+    response = conn.getresponse()
+    return response.status, response, response.read()
 
 
 def _wait_for(condition, timeout_s=10.0):
@@ -118,6 +132,92 @@ class TestRoundTrip:
                 assert status == 200
                 ids.append(doc["request_id"])
             assert ids == ["serve/r0", "serve/r1", "serve/r2"]
+
+
+class TestKeepAlive:
+    def test_persistent_connection_answers_without_ack_stall(self, engine, sample):
+        """Back-to-back requests on one connection must not wait on the
+        client's delayed ACK between the response headers and body."""
+        body = classify_body(*sample)
+        n = 20
+        with running_daemon(engine, DaemonConfig(batch_deadline_ms=2.0)) as daemon:
+            conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=30)
+            keep_alive, ids, sock = [], [], None
+            try:
+                for _ in range(n):
+                    sent = time.perf_counter()
+                    status, _, raw = _exchange(conn, "POST", "/classify", body)
+                    keep_alive.append(time.perf_counter() - sent)
+                    assert status == 200
+                    sock = sock or conn.sock
+                    assert conn.sock is sock  # the socket was reused
+                    ids.append(json.loads(raw)["request_id"])
+            finally:
+                conn.close()
+            fresh = []
+            for _ in range(n):
+                sent = time.perf_counter()
+                status, _ = post_classify(daemon.port, body)
+                fresh.append(time.perf_counter() - sent)
+                assert status == 200
+        assert ids == [f"serve/r{i}" for i in range(n)]
+        # Relative bound: a stalled response costs ~40 ms on top of the
+        # fresh-connection round trip, whatever the machine's speed.
+        assert statistics.median(keep_alive) <= statistics.median(fresh) + 0.020
+
+    def test_every_response_kind_keeps_the_connection(self, engine, sample):
+        body = classify_body(*sample)
+        with running_daemon(engine, DaemonConfig(batch_deadline_ms=2.0)) as daemon:
+            conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=30)
+            try:
+                exchanges = [("healthz", *_exchange(conn, "GET", "/healthz"))]
+                sock = conn.sock
+                exchanges += [
+                    ("metrics", *_exchange(conn, "GET", "/metrics")),
+                    ("missing", *_exchange(conn, "GET", "/nope")),
+                    ("malformed", *_exchange(conn, "POST", "/classify", b"not json")),
+                    ("classify", *_exchange(conn, "POST", "/classify", body)),
+                ]
+                assert conn.sock is sock
+            finally:
+                conn.close()
+        statuses = {}
+        for name, status, response, raw in exchanges:
+            statuses[name] = status
+            assert int(response.getheader("Content-Length")) == len(raw)
+            assert not response.will_close, name
+            if name == "metrics":
+                assert response.getheader("Content-Type").startswith("text/plain")
+                assert "# TYPE daemon_" in raw.decode()
+            else:
+                assert response.getheader("Content-Type") == "application/json"
+                json.loads(raw)
+        assert statuses == {
+            "healthz": 200, "metrics": 200, "missing": 404,
+            "malformed": 400, "classify": 200,
+        }
+
+
+class TestResponseWriter:
+    def test_metrics_scrape_survives_client_hangup(self, engine):
+        """A scraper that hangs up mid-response must not raise out of the
+        handler, which the server would print as a traceback."""
+
+        class HungUp(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                raise BrokenPipeError
+
+        handler = _Handler.__new__(_Handler)
+        handler.server = types.SimpleNamespace(owner=ServingDaemon(engine))
+        handler.wfile = HungUp()
+        handler.path, handler.command = "/metrics", "GET"
+        handler.request_version = handler.requestline = "HTTP/1.1"
+        handler.close_connection = False
+        handler.do_GET()
+        assert handler.close_connection
 
 
 class TestMicroBatching:

@@ -234,7 +234,7 @@ class TestDaemonTracing:
         assert validate_spans(spans) == []
         names = {s["name"] for s in spans}
         assert {
-            "request", "http.read", "admission.queue_wait", "batch.form",
+            "request", "http.read", "http.parse", "admission.queue_wait", "batch.form",
             "daemon.score", "engine.lock_wait", "serve.repair", "serve.cnn",
             "serve.features",
         } <= names
@@ -249,6 +249,15 @@ class TestDaemonTracing:
         cnn = next(s for s in tree["spans"] if s["name"] == "serve.cnn")
         assert by_id[cnn["parent_id"]]["name"] == "daemon.score"
         assert score["parent_id"] == tree["root"]["span_id"]
+        # The body read and decode open the waterfall, end to end.
+        root = tree["root"]
+        read = next(s for s in tree["spans"] if s["name"] == "http.read")
+        parse = next(s for s in tree["spans"] if s["name"] == "http.parse")
+        assert read["parent_id"] == parse["parent_id"] == root["span_id"]
+        assert read["start_ts"] == pytest.approx(root["start_ts"], abs=5e-3)
+        assert parse["start_ts"] == pytest.approx(
+            read["start_ts"] + read["duration_s"], abs=5e-3
+        )
         # Analysis renders.
         lines = render_waterfall(tree)
         assert lines[0].startswith("waterfall: serve/r0")
