@@ -10,11 +10,7 @@ rates and reports, per tier:
 * ``shed_rate`` — fraction of requests refused by admission control
   (a loaded daemon must shed predictably, not grow its queue).
 
-Every tier runs once per configured scoring-worker setting: ``0`` is
-the in-process scorer, ``>= 1`` routes micro-batches through a
-``repro.serve.pool.ScoringPool`` (the ``serve --scoring-workers``
-path), so the committed file carries a single-process and a
-multi-process QPS curve side by side.
+The daemon scores in process, so there is one QPS curve.
 
 The highest tier deliberately offers more than the scorer can absorb,
 so the committed numbers pin both capacity *and* overload behaviour.
@@ -53,7 +49,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_BASELINE = os.path.join(REPO_ROOT, "BENCH_throughput.json")
 
 #: Metrics tracked by the regression guard (rates: higher = better).
-TRACKED_METRICS = ("sustained_goodput_rps", "sustained_goodput_mp_rps")
+TRACKED_METRICS = ("sustained_goodput_rps",)
 
 
 def _build_engine(input_size: int, units: int, seed: int = 0) -> InferenceEngine:
@@ -161,14 +157,12 @@ def run_benchmark(smoke: bool) -> dict:
             "input_size": 36, "units": 8, "stamp": 40,
             "tiers_qps": [20.0, 60.0], "duration_s": 1.0,
             "queue_depth": 32, "batch_max_size": 16, "batch_deadline_ms": 10.0,
-            "scoring_workers": [0, 2],
         }
     else:
         config = {
             "input_size": 36, "units": 8, "stamp": 40,
             "tiers_qps": [50.0, 120.0, 250.0], "duration_s": 3.0,
             "queue_depth": 64, "batch_max_size": 32, "batch_deadline_ms": 10.0,
-            "scoring_workers": [0, 2, 4],
         }
     engine = _build_engine(config["input_size"], config["units"])
     body = _request_body(engine, config["stamp"])
@@ -179,39 +173,28 @@ def run_benchmark(smoke: bool) -> dict:
         np.asarray(doc["mjd"], dtype=np.float32)[None],
     )
 
+    daemon_config = DaemonConfig(
+        queue_depth=config["queue_depth"],
+        batch_max_size=config["batch_max_size"],
+        batch_deadline_ms=config["batch_deadline_ms"],
+        request_deadline_ms=10000.0,
+    )
     tiers = []
-    for workers in config["scoring_workers"]:
-        daemon_config = DaemonConfig(
-            queue_depth=config["queue_depth"],
-            batch_max_size=config["batch_max_size"],
-            batch_deadline_ms=config["batch_deadline_ms"],
-            request_deadline_ms=10000.0,
-            scoring_workers=workers,
+    for qps in config["tiers_qps"]:
+        tier = run_tier(engine, qps, config["duration_s"], daemon_config, body)
+        tiers.append(tier)
+        print(
+            f"qps {qps:6.0f}: "
+            f"goodput {tier['goodput_rps']:7.2f} rps  "
+            f"p50 {tier['p50_ms']} ms  p99 {tier['p99_ms']} ms  "
+            f"shed {tier['shed_rate']:.1%}  timeout {tier['timeout']}"
         )
-        for qps in config["tiers_qps"]:
-            tier = run_tier(engine, qps, config["duration_s"], daemon_config, body)
-            tier["scoring_workers"] = workers
-            tiers.append(tier)
-            print(
-                f"workers {workers}  qps {qps:6.0f}: "
-                f"goodput {tier['goodput_rps']:7.2f} rps  "
-                f"p50 {tier['p50_ms']} ms  p99 {tier['p99_ms']} ms  "
-                f"shed {tier['shed_rate']:.1%}  timeout {tier['timeout']}"
-            )
-            if tier["errors"]:
-                print(f"  WARNING: {tier['errors']} untyped transport errors")
+        if tier["errors"]:
+            print(f"  WARNING: {tier['errors']} untyped transport errors")
 
     # Capacity = best goodput across tiers; the top tier may be past the
     # knee where shedding dominates, so take the max rather than the last.
-    goodput = max(
-        tier["goodput_rps"] for tier in tiers if tier["scoring_workers"] == 0
-    )
-    mp_goodputs = [
-        tier["goodput_rps"] for tier in tiers if tier["scoring_workers"] > 0
-    ]
-    metrics = {"sustained_goodput_rps": goodput}
-    if mp_goodputs:
-        metrics["sustained_goodput_mp_rps"] = max(mp_goodputs)
+    metrics = {"sustained_goodput_rps": max(tier["goodput_rps"] for tier in tiers)}
     return {
         "config": config,
         "env": {
@@ -221,7 +204,6 @@ def run_benchmark(smoke: bool) -> dict:
             "cpu_count": cpu_count(),
             "blas": blas_backend_info(),
             "blas_env": blas_env_settings(),
-            "scoring_workers": config["scoring_workers"],
         },
         "tiers": tiers,
         "metrics": metrics,

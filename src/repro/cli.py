@@ -304,12 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scoring batches older than this get the worker restarted",
     )
     srv.add_argument(
-        "--scoring-workers", type=int, default=0, metavar="N",
-        help="scatter each scoring micro-batch across N warm worker "
-        "processes over shared memory (0 = score in-process); BLAS "
-        "threads are split N ways so the workers never oversubscribe",
-    )
-    srv.add_argument(
         "--strict", action="store_true",
         help="refuse degraded samples with a typed 422 instead of masking",
     )
@@ -656,7 +650,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         wedge_timeout_s=args.wedge_timeout_s,
         strict=args.strict,
         reload_poll_s=args.reload_poll_s,
-        scoring_workers=args.scoring_workers,
         latency_buckets_ms=latency_buckets,
     )
     if args.registry is not None:

@@ -15,8 +15,8 @@ when) a telemetry session is active:
 * :mod:`repro.obs.trace` — the one timing primitive, ``span``: every
   span adds to a process-wide per-name span table, and with tracing on
   it is also recorded (trace_id / span_id / parent_id, start, duration)
-  through the event log, with cross-process propagation into pool
-  workers, sampling, and the ``repro trace`` analysis CLI;
+  through the event log, with sampling and the ``repro trace``
+  analysis CLI;
 * :mod:`repro.obs.drift` — PSI/KS monitoring of the served score and
   flux distributions against a baseline committed with the model;
 * :mod:`repro.obs.schema` / :mod:`repro.obs.report` — validation and
@@ -59,7 +59,6 @@ from .session import TelemetrySession, active, new_id, start, stop
 from .trace import (
     SLOW_EVENT,
     SPAN_EVENT,
-    SegmentTracer,
     Span,
     TraceConfig,
     Tracer,
@@ -103,7 +102,6 @@ __all__ = [
     "Span",
     "TraceConfig",
     "Tracer",
-    "SegmentTracer",
     "derive_trace_id",
     "load_spans",
     "validate_spans",

@@ -1,12 +1,11 @@
-"""Request tracing: spans over the event log with cross-process propagation.
+"""Request tracing: spans over the event log.
 
 A *span* is one timed stage of a request (``http.read``,
-``admission.queue_wait``, ``worker.compute``, ...) recorded as a
+``admission.queue_wait``, ``daemon.score``, ...) recorded as a
 ``trace.span`` event in the session's schema-versioned event log.  Spans
 carry ``trace_id`` / ``span_id`` / ``parent_id`` and form a tree per
 request; trace ids derive deterministically from the request id
-(``<run_id>/r<index>``) so a request can be correlated across processes
-and across re-runs.
+(``<run_id>/r<index>``) so a request can be correlated across re-runs.
 
 Design mirrors :mod:`repro.obs.log`:
 
@@ -23,19 +22,15 @@ Design mirrors :mod:`repro.obs.log`:
   tree, emit only if the root exceeds the threshold — the slow-request
   capture).
 
-Cross-process: pool workers have no telemetry session.  They install a
-:class:`SegmentTracer` that appends span records to a per-worker JSONL
-segment (``trace-worker<id>.jsonl``); the parent merges new segment
-lines into the main event log at gather time, so worker spans end up in
-the same file, correctly parented via the wire context ``(trace_id,
-parent_span_id, request_id)`` that rides the task message across the
-pipe.
+Spans never cross a process boundary.  ``repro serve`` scores in
+process, so its traces cover every stage; a :class:`ScoringPool`
+worker's ``worker.compute`` scope is an untraced timing whose duration
+is reported back as that worker's ``busy_s``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 import time
@@ -46,11 +41,9 @@ __all__ = [
     "MODES",
     "SPAN_EVENT",
     "SLOW_EVENT",
-    "WORKER_SEGMENT_PREFIX",
     "TraceConfig",
     "Span",
     "Tracer",
-    "SegmentTracer",
     "derive_trace_id",
     "derive_span_id",
     "install",
@@ -61,7 +54,6 @@ __all__ = [
     "record",
     "span_table",
     "timers_since",
-    "wire_context",
     "load_spans",
     "validate_spans",
     "stage_table",
@@ -72,7 +64,6 @@ __all__ = [
 
 SPAN_EVENT = "trace.span"
 SLOW_EVENT = "trace.slow_request"
-WORKER_SEGMENT_PREFIX = "trace-worker"
 MODES = ("always", "rate", "slow")
 
 # Fields every span record must carry (validated by ``validate_spans``
@@ -206,8 +197,8 @@ class Span:
 
     def __init__(
         self,
-        tracer: "_BaseTracer",
-        state: Optional[_TraceState],
+        tracer: "Tracer",
+        state: _TraceState,
         name: str,
         trace_id: str,
         span_id: str,
@@ -236,9 +227,6 @@ class Span:
     @property
     def is_root(self) -> bool:
         return self.parent_id is None
-
-    def annotate(self, **fields: Any) -> None:
-        self.attrs.update(fields)
 
     def end(self, **fields: Any) -> None:
         if self._ended:
@@ -304,9 +292,6 @@ class _Timing:
         self.duration_s: Optional[float] = None
         self._t0 = time.perf_counter()
 
-    def annotate(self, **fields: Any) -> None:
-        pass
-
     def end(self, **fields: Any) -> None:
         if self.duration_s is None:
             self.duration_s = time.perf_counter() - self._t0
@@ -319,38 +304,25 @@ class _Timing:
         self.end()
 
 
-class _BaseTracer:
-    """Shared span-construction machinery; subclasses define the sink."""
+class Tracer:
+    """Sinks spans into the session's event log and per-stage latency
+    histograms in the session's metrics registry."""
 
-    directory: Optional[str] = None
+    def __init__(self, session, config: Optional[TraceConfig] = None) -> None:
+        self._session = session
+        self.config = config or TraceConfig()
+        self._live: Dict[str, _TraceState] = {}
+        self._lock = threading.Lock()
 
     def child(self, parent: Span, name: str, attrs: Optional[dict] = None) -> Span:
-        state = parent._state
-        seed = state.next_seed() if state is not None else self._next_seed()
         return Span(
             self,
-            state,
+            parent._state,
             name,
             parent.trace_id,
-            derive_span_id(parent.trace_id, seed),
+            derive_span_id(parent.trace_id, parent._state.next_seed()),
             parent.span_id,
             parent.request_id,
-            attrs,
-        )
-
-    def resume(
-        self, wire: Tuple[str, str, Optional[str]], name: str, seed: str, **attrs: Any
-    ) -> Span:
-        """A span parented across a process boundary via a wire context."""
-        trace_id, parent_id, request_id = wire
-        return Span(
-            self,
-            None,
-            name,
-            trace_id,
-            derive_span_id(trace_id, seed),
-            parent_id,
-            request_id,
             attrs,
         )
 
@@ -373,25 +345,6 @@ class _BaseTracer:
         child._ended = True
         child.duration_s = round(float(duration_s), 6)
         self._finish(child)
-
-    def _next_seed(self) -> str:
-        raise NotImplementedError
-
-    def _finish(self, span_obj: Span) -> None:
-        raise NotImplementedError
-
-
-class Tracer(_BaseTracer):
-    """Parent-process tracer: sinks spans into the session's event log
-    and per-stage latency histograms in the session's metrics registry."""
-
-    def __init__(self, session, config: Optional[TraceConfig] = None) -> None:
-        self._session = session
-        self.config = config or TraceConfig()
-        self.directory = getattr(session, "directory", None)
-        self._live: Dict[str, _TraceState] = {}
-        self._lock = threading.Lock()
-        self._counter = 0
 
     # -- sampling ------------------------------------------------------
     def sample(self, request_id: str) -> bool:
@@ -432,33 +385,11 @@ class Tracer(_BaseTracer):
             t_offset_s=t_offset_s,
         )
 
-    def merge(self, record_dict: dict) -> None:
-        """Fold a worker-segment span record into this tracer's sink.
-
-        Routed into the live trace's buffer when the trace is still
-        slow-mode buffered, otherwise emitted directly.
-        """
-        state = None
-        trace_id = record_dict.get("trace_id")
-        if isinstance(trace_id, str):
-            with self._lock:
-                state = self._live.get(trace_id)
-        if state is not None and state.buffer is not None:
-            with state.lock:
-                state.buffer.append(dict(record_dict))
-            return
-        self._emit_record(dict(record_dict))
-
     # -- internals -----------------------------------------------------
-    def _next_seed(self) -> str:
-        with self._lock:
-            self._counter += 1
-            return f"x{self._counter}"
-
     def _finish(self, span_obj: Span) -> None:
         state = span_obj._state
         record_dict = span_obj.to_record()
-        if state is not None and state.buffer is not None:
+        if state.buffer is not None:
             with state.lock:
                 state.buffer.append(record_dict)
             if span_obj.is_root:
@@ -506,52 +437,13 @@ class Tracer(_BaseTracer):
                 pass  # span name not a valid metric name: skip the histogram
 
 
-class SegmentTracer(_BaseTracer):
-    """Worker-process tracer: appends span records to a JSONL segment.
-
-    Workers have no telemetry session; the parent merges segment lines
-    into the main event log at gather time (``Tracer.merge``).  Every
-    record is stamped with the worker id and pid.
-    """
-
-    def __init__(self, path: str, worker: Optional[int] = None) -> None:
-        self.path = path
-        self.worker = worker
-        self._fh = None
-        self._lock = threading.Lock()
-        self._counter = 0
-
-    def _next_seed(self) -> str:
-        with self._lock:
-            self._counter += 1
-            return f"w{self.worker}.{os.getpid()}.{self._counter}"
-
-    def _finish(self, span_obj: Span) -> None:
-        record_dict = span_obj.to_record()
-        if self.worker is not None:
-            record_dict.setdefault("worker", self.worker)
-        record_dict.setdefault("pid", os.getpid())
-        line = json.dumps(record_dict, separators=(",", ":"), default=str)
-        with self._lock:
-            if self._fh is None:
-                self._fh = open(self.path, "a", encoding="utf-8")
-            self._fh.write(line + "\n")
-            self._fh.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-
-
 # ----------------------------------------------------------------------
 # Module-level tracer: one reference read on the disabled path
 # ----------------------------------------------------------------------
-_TRACER: Optional[_BaseTracer] = None
+_TRACER: Optional[Tracer] = None
 
 
-def install(t: _BaseTracer) -> None:
+def install(t: Tracer) -> None:
     global _TRACER
     _TRACER = t
 
@@ -561,7 +453,7 @@ def uninstall() -> None:
     _TRACER = None
 
 
-def tracer() -> Optional[_BaseTracer]:
+def tracer() -> Optional[Tracer]:
     return _TRACER
 
 
@@ -593,18 +485,6 @@ def record(
     t.record(name, duration_s, parent, **attrs)
 
 
-def wire_context(parent: Optional[Span] = None) -> Optional[Tuple[str, str, Optional[str]]]:
-    """Serializable ``(trace_id, parent_span_id, request_id)`` for IPC."""
-    t = _TRACER
-    if t is None:
-        return None
-    if parent is None:
-        parent = current_span()
-    if not isinstance(parent, Span):
-        return None
-    return (parent.trace_id, parent.span_id, parent.request_id)
-
-
 # ----------------------------------------------------------------------
 # Span table: per-name (calls, total_s) of every span ended in-process
 # ----------------------------------------------------------------------
@@ -626,10 +506,9 @@ def span_table() -> Dict[str, Tuple[int, float]]:
     """Snapshot of the span table: ``name -> (calls, total_s)``.
 
     Every span that ends in this process adds to it — traced or not,
-    :func:`record` stages included; spans merged from worker segments do
-    not.  It is never reset: consumers diff two snapshots
-    (:func:`timers_since`).  Concurrent spans add up, so a total is
-    occupancy, not wall clock.
+    :func:`record` stages included.  It is never reset: consumers diff
+    two snapshots (:func:`timers_since`).  Concurrent spans add up, so a
+    total is occupancy, not wall clock.
     """
     with _TABLE_LOCK:
         return {name: (int(calls), total) for name, (calls, total) in _TABLE.items()}
@@ -651,50 +530,26 @@ def timers_since(baseline: Dict[str, Tuple[int, float]]) -> Dict[str, dict]:
     return timers
 
 
-def worker_segment_path(directory: str, worker_id: int) -> str:
-    return os.path.join(directory, f"{WORKER_SEGMENT_PREFIX}{worker_id}.jsonl")
-
-
 # ----------------------------------------------------------------------
 # Analysis: loading, validation, per-stage stats, waterfall, critical path
 # (backs the ``repro trace DIR`` CLI and the report)
 # ----------------------------------------------------------------------
 def load_spans(directory: str) -> List[dict]:
-    """All span records under a telemetry directory.
-
-    Reads ``trace.span`` events from the event log plus any un-merged
-    tails of worker segments (a killed daemon may not have drained
-    them), de-duplicated on ``(trace_id, span_id)``.
-    """
+    """All ``trace.span`` records in a telemetry directory's event log,
+    de-duplicated on ``(trace_id, span_id)``."""
     from .log import EVENTS_FILE, read_events
 
     spans: List[dict] = []
     seen = set()
-
-    def _add(record_dict: dict) -> None:
-        key = (record_dict.get("trace_id"), record_dict.get("span_id"))
-        if key in seen:
-            return
-        seen.add(key)
-        spans.append(record_dict)
-
     events_path = os.path.join(directory, EVENTS_FILE)
     if os.path.exists(events_path):
         for event in read_events(events_path):
-            if event.get("event") == SPAN_EVENT:
-                _add(event)
-    for entry in sorted(os.listdir(directory)):
-        if not (entry.startswith(WORKER_SEGMENT_PREFIX) and entry.endswith(".jsonl")):
-            continue
-        with open(os.path.join(directory, entry), "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    _add(json.loads(line))
-                except ValueError:
-                    continue  # torn tail line from a killed worker
+            if event.get("event") != SPAN_EVENT:
+                continue
+            key = (event.get("trace_id"), event.get("span_id"))
+            if key not in seen:
+                seen.add(key)
+                spans.append(event)
     return spans
 
 
@@ -765,7 +620,7 @@ def build_trees(spans: Iterable[dict]) -> List[dict]:
     Returns one dict per trace: ``{"trace_id", "request_id", "root",
     "spans", "children"}`` where ``children`` maps span_id -> list of
     child records.  Traces without a root (e.g. slow-mode discards with
-    a straggling worker span) are skipped.
+    a straggling child span) are skipped.
     """
     by_trace: Dict[str, List[dict]] = {}
     for record_dict in spans:
@@ -819,12 +674,9 @@ def render_waterfall(tree: dict, width: int = 40) -> List[str]:
         offset = max(0.0, (record_dict.get("start_ts") or t0) - t0)
         duration = record_dict.get("duration_s") or 0.0
         name = "  " * depth + str(record_dict.get("name"))
-        extra = ""
-        if record_dict.get("worker") is not None:
-            extra = f"  [worker {record_dict['worker']}]"
         lines.append(
             f"  {name:<30} {offset * 1000.0:>8.1f}ms {duration * 1000.0:>8.1f}ms "
-            f"|{_bar(offset, duration):<{width}}|{extra}"
+            f"|{_bar(offset, duration):<{width}}|"
         )
         for child in tree["children"].get(record_dict.get("span_id"), ()):
             _walk(child, depth + 1)

@@ -95,7 +95,6 @@ from ..obs.metrics import MetricsRegistry
 from ..registry import GuardConfig, ModelRegistry, RegistryError, RollbackGuard
 from ..runtime.retry import RetrySpec
 from .engine import DegradedInputError, InferenceEngine, PredictionResult
-from .pool import PoolBrokenError, PoolConfig, ScoringPool
 
 __all__ = ["DaemonConfig", "ServingDaemon", "DEFAULT_RESTART_SPEC"]
 
@@ -144,11 +143,6 @@ class DaemonConfig:
     #: Most shadow items (scored micro-batches) allowed to wait for the
     #: shadow worker; beyond it shadow copies are shed, never queued.
     shadow_queue_depth: int = 8
-    #: Scoring worker *processes*.  0 (the default) scores in-process on
-    #: the daemon's scoring thread; N >= 1 scatters each micro-batch
-    #: across a :class:`~repro.serve.pool.ScoringPool` of N warm spawned
-    #: workers over shared memory, with BLAS threads split N ways.
-    scoring_workers: int = 0
     #: End-to-end latency histogram buckets in milliseconds (``None``
     #: keeps :data:`~repro.obs.metrics.DEFAULT_LATENCY_BUCKETS_S`).  A
     #: deployment serving a slower model than the defaults assume can
@@ -175,8 +169,6 @@ class DaemonConfig:
             raise ValueError("reload_poll_s must be positive")
         if self.shadow_queue_depth < 1:
             raise ValueError("shadow_queue_depth must be >= 1")
-        if self.scoring_workers < 0:
-            raise ValueError("scoring_workers must be >= 0")
         if self.latency_buckets_ms is not None:
             buckets = tuple(float(b) for b in self.latency_buckets_ms)
             if not buckets:
@@ -718,16 +710,11 @@ class ServingDaemon:
         registry: ModelRegistry | None = None,
         guard: GuardConfig | None = None,
         reload_hook: Callable[[InferenceEngine, str], None] | None = None,
-        pool: ScoringPool | None = None,
     ) -> None:
         self.config = config or DaemonConfig()
         self.fault_hook = fault_hook
         self.registry = registry
         self.reload_hook = reload_hook
-        #: Multi-process scoring pool; built in start() when
-        #: ``config.scoring_workers > 0`` (or injected here by tests).
-        self._pool = pool
-        self._pool_broken_noted = False
         session = obs.active()
         self.metrics: MetricsRegistry = (
             session.metrics if session is not None else MetricsRegistry()
@@ -821,7 +808,6 @@ class ServingDaemon:
         # train/eval while handler threads are alive.
         self.engine.pipeline.cnn.eval()
         self.engine.pipeline.classifier.eval()
-        self._start_pool()
         self._server = _DaemonServer(
             (self.config.host, self.config.port), _Handler
         )
@@ -850,47 +836,7 @@ class ServingDaemon:
             queue_depth=self.config.queue_depth,
             batch_max_size=self.config.batch_max_size,
             model_version=self._engine_version,
-            scoring_workers=(
-                self._pool.config.workers if self._pool is not None else 0
-            ),
         )
-
-    def _start_pool(self) -> None:
-        """Spawn the scoring pool (if configured) before traffic arrives.
-
-        Registry mode hands workers the production version's directory —
-        the same bytes every future :meth:`_swap_engine` hands them via
-        ``pool.reload`` — while engine mode persists the live engine to
-        a pool-owned temp directory.  A pool that cannot boot fails
-        ``start()`` outright: better a loud refusal than a daemon that
-        silently serves single-process at N-times the advertised
-        latency.  An injected (test-seam) pool is started here too when
-        it isn't already; its own worker count is authoritative — it is
-        what /healthz and the ``pool.workers`` gauge report, regardless
-        of ``config.scoring_workers``.
-        """
-        if self._pool is None:
-            if self.config.scoring_workers < 1:
-                return
-            kwargs: dict = {
-                # The pool detects its own wedged *processes* at half
-                # the daemon's wedge horizon, so it usually terminates,
-                # respawns and re-scores before the thread watchdog
-                # fires; the watchdog stays the bounded backstop for the
-                # scoring *thread*, and drain can never wait forever.
-                "config": PoolConfig(
-                    workers=self.config.scoring_workers,
-                    task_timeout_s=max(0.05, self.config.wedge_timeout_s / 2.0),
-                ),
-            }
-            if self.registry is not None and self._engine_version is not None:
-                kwargs["model_source"] = self.registry.path(self._engine_version)
-            else:
-                kwargs["engine"] = self.engine
-            self._pool = ScoringPool(**kwargs)
-        if not self._pool.started:
-            self._pool.start()
-        self.metrics.gauge("pool.workers").set(self._pool.config.workers)
 
     def install_signal_handlers(self) -> None:
         """Route SIGTERM/SIGINT to a graceful drain (main thread only)."""
@@ -967,8 +913,6 @@ class ServingDaemon:
         worker = self._worker
         if worker is not None and not worker.abandoned:
             worker.join(timeout=2.0)
-        if self._pool is not None:
-            self._pool.close()
         if self._server is not None:
             self._server.shutdown()
         self._emit_terminal(reason)
@@ -1092,12 +1036,14 @@ class ServingDaemon:
             )
         if mjd.ndim != 1:
             raise ValueError(f"'mjd' must be a (V,) vector, got shape {mjd.shape}")
-        strict = bool(doc.get("strict", self.config.strict))
+        strict = doc.get("strict", self.config.strict)
+        if not isinstance(strict, bool):
+            raise ValueError(f"'strict' must be a JSON boolean, got {strict!r}")
         deadline_ms = doc.get("deadline_ms", self.config.request_deadline_ms)
-        try:
-            deadline_ms = float(deadline_ms)
-        except (TypeError, ValueError):
+        # bool is an int subclass: `true` must not pass as a 1 ms deadline.
+        if isinstance(deadline_ms, bool) or not isinstance(deadline_ms, (int, float)):
             raise ValueError(f"'deadline_ms' must be a number, got {deadline_ms!r}")
+        deadline_ms = float(deadline_ms)
         if not 1.0 <= deadline_ms <= 600_000.0:
             raise ValueError("'deadline_ms' must be in [1, 600000]")
         # Same up-front contract as classify_arrays — shape problems are
@@ -1124,9 +1070,8 @@ class ServingDaemon:
         mjd = np.stack([pending.mjd for pending in group])
         # The scoring stage attaches to the first traced member's trace
         # (a shape group can mix sampled and unsampled requests); the
-        # ambient push makes every nested stage — engine spans in
-        # process, pool scatter/gather and worker.compute across the
-        # pipe — parent under it without threading spans through calls.
+        # ambient push makes every nested engine stage parent under it
+        # without threading spans through calls.
         trace_parent = next(
             (pending.trace for pending in group if pending.trace is not None),
             None,
@@ -1135,46 +1080,20 @@ class ServingDaemon:
             "daemon.score", parent=trace_parent,
             batch_index=batch_index, n_samples=len(group),
         ) as scored:
-            if self._pool is not None:
-                # Pool mode holds _engine_lock across the dispatch: the pool
-                # is shared mutable state (unlike an engine snapshot), so a
-                # hot reload must not land between reading the version label
-                # and the workers scoring — _swap_engine calls pool.reload()
-                # under this same lock, which both serialises the swap
-                # against in-flight batches and keeps the (scores, version)
-                # pair consistent.
-                lock_from = time.monotonic()
-                with self._engine_lock:
-                    obs_trace.record(
-                        "engine.lock_wait", time.monotonic() - lock_from
-                    )
-                    version = self._engine_version
-                    monitor = self._prod_monitor
-                    try:
-                        results = self._pool.classify_arrays(
-                            pairs, mjd,
-                            strict=group[0].strict, start_index=group[0].index,
-                        )
-                    except PoolBrokenError:
-                        self._note_pool_broken()
-                        raise
-            else:
-                # One consistent (engine, version, monitor) snapshot per
-                # batch: a hot reload that lands mid-score only affects the
-                # *next* batch, so every request is scored wholly by a
-                # single version and the outgoing engine drains its
-                # in-flight work before it is dropped.
-                lock_from = time.monotonic()
-                with self._engine_lock:
-                    obs_trace.record(
-                        "engine.lock_wait", time.monotonic() - lock_from
-                    )
-                    engine = self.engine
-                    version = self._engine_version
-                    monitor = self._prod_monitor
-                results = engine.classify_arrays(
-                    pairs, mjd, strict=group[0].strict, start_index=group[0].index
-                )
+            # One consistent (engine, version, monitor) snapshot per
+            # batch: a hot reload that lands mid-score only affects the
+            # *next* batch, so every request is scored wholly by a single
+            # version and the outgoing engine drains its in-flight work
+            # before it is dropped.
+            lock_from = time.monotonic()
+            with self._engine_lock:
+                obs_trace.record("engine.lock_wait", time.monotonic() - lock_from)
+                engine = self.engine
+                version = self._engine_version
+                monitor = self._prod_monitor
+            results = engine.classify_arrays(
+                pairs, mjd, strict=group[0].strict, start_index=group[0].index
+            )
         self._note_drained(len(group), scored.duration_s)
         if version is not None:
             self.metrics.counter(f"daemon.served.{version}").inc(len(results))
@@ -1302,26 +1221,13 @@ class ServingDaemon:
             self._swap_engine(engine, version)
 
     def _swap_engine(self, engine: InferenceEngine, version: str,
-                     remember_previous: bool = True) -> bool:
+                     remember_previous: bool = True) -> None:
         """Publish a new production engine (callers hold _reload_lock).
 
-        With a scoring pool attached the swap happens *inside* the
-        engine lock the scoring path holds across each pool dispatch:
-        ``pool.reload`` therefore waits for the in-flight batch, swaps
-        every worker exactly once, and the next batch reads the new
-        version label with the new workers — no batch ever mixes
-        versions, no request is dropped.  A failed pool reload (the
-        pool rolls its workers back internally) aborts the publish and
-        leaves the previous version serving; returns False in that
-        case.
+        The next batch to snapshot under ``_engine_lock`` scores on the
+        new engine; a batch already scoring finishes on the old one.
         """
         with self._engine_lock:
-            if self._pool is not None and self.registry is not None:
-                try:
-                    self._pool.reload(self.registry.path(version))
-                except Exception as exc:  # noqa: BLE001 - keep serving previous
-                    self._note_reload_failure(version, "pool", exc)
-                    return False
             previous, previous_version = self.engine, self._engine_version
             self.engine = engine
             self._engine_version = version
@@ -1339,7 +1245,6 @@ class ServingDaemon:
             version=version,
             previous=previous_version,
         )
-        return True
 
     def _note_reload_failure(self, version: str | None, role: str,
                              exc: Exception) -> None:
@@ -1411,8 +1316,7 @@ class ServingDaemon:
                     except Exception as exc:  # noqa: BLE001
                         self._note_reload_failure(restored, "rollback", exc)
                         return
-                if not self._swap_engine(engine, restored, remember_previous=False):
-                    return
+                self._swap_engine(engine, restored, remember_previous=False)
                 self.metrics.counter("daemon.rollbacks").inc()
                 self._emit(
                     "registry.rolled_back",
@@ -1618,29 +1522,6 @@ class ServingDaemon:
             self._worker = _ScoringWorker(self, self._worker_generation)
             self._worker.start()
 
-    def _note_pool_broken(self) -> None:
-        """The pool's respawn budget is spent: drain with exit code 4.
-
-        The process-pool analogue of an exhausted scoring-thread restart
-        budget — the daemon refuses to flap between broken pool states
-        and instead drains loudly so an orchestrator restarts it whole.
-        """
-        with self._restart_lock:
-            if self._pool_broken_noted:
-                return
-            self._pool_broken_noted = True
-        self._emit(
-            "serve.pool_broken",
-            level="error",
-            message="scoring pool respawn budget exhausted; draining",
-        )
-        threading.Thread(
-            target=self.drain,
-            kwargs={"reason": "pool_failure", "exit_code": 4},
-            name="repro-serve-drain",
-            daemon=True,
-        ).start()
-
     # ------------------------------------------------------------------
     # Introspection endpoints
     # ------------------------------------------------------------------
@@ -1667,9 +1548,6 @@ class ServingDaemon:
             "rollbacks": int(self.metrics.counter("daemon.rollbacks").value),
             "quarantined": int(self.metrics.counter("daemon.quarantined").value),
             "shadow": self.shadow_stats(),
-            "scoring_pool": (
-                self._pool.stats() if self._pool is not None else None
-            ),
         }
         return (503 if draining else 200), payload
 
@@ -1677,8 +1555,6 @@ class ServingDaemon:
         """``/metrics`` body: the registry in text exposition format."""
         self.metrics.gauge("daemon.queue_depth").set(self._batcher.waiting())
         self.metrics.gauge("daemon.draining").set(1 if self._draining else 0)
-        if self._pool is not None:
-            self._pool.export_metrics(self.metrics)
         for name, value in workspace_total_stats().items():
             if name == "hit_rate":
                 continue  # derivable from hits/misses; gauges stay raw counts

@@ -41,9 +41,41 @@ from ..obs.drift import DriftBaseline, DriftMonitor
 from ..photometry import GRIZY, signed_log10
 from .validation import InputDiagnostics, RepairConfig, diagnose_and_repair_batch
 
-__all__ = ["FluxPrior", "PredictionResult", "DegradedInputError", "InferenceEngine"]
+__all__ = [
+    "FluxPrior",
+    "PredictionResult",
+    "DegradedInputError",
+    "InferenceEngine",
+    "check_batch_shape",
+]
 
 PRIOR_FILE = "flux_prior.json"
+
+
+def check_batch_shape(
+    pairs: np.ndarray, mjd: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The model-independent batch checks: ``(N, V, 2, S, S)`` numeric
+    square stamps and a matching ``(N, V)`` MJD array; returns both as
+    arrays.  The engine and :class:`~repro.serve.pool.ScoringPool` both
+    call it, so a bad batch gets the same message on either path."""
+    pairs = np.asarray(pairs)
+    mjd = np.asarray(mjd)
+    if pairs.ndim != 5 or pairs.shape[2] != 2:
+        raise ValueError(
+            f"expected (N, V, 2, S, S) stamp pairs, got shape {pairs.shape}"
+        )
+    if pairs.shape[3] != pairs.shape[4]:
+        raise ValueError(
+            f"stamps must be square, got {pairs.shape[3]}x{pairs.shape[4]}"
+        )
+    if not np.issubdtype(pairs.dtype, np.number):
+        raise ValueError(f"pairs must be numeric, got dtype {pairs.dtype}")
+    if mjd.shape != pairs.shape[:2]:
+        raise ValueError(
+            f"visit_mjd shape {mjd.shape} does not match pairs {pairs.shape[:2]}"
+        )
+    return pairs, mjd
 
 
 class DegradedInputError(ValueError):
@@ -329,22 +361,7 @@ class InferenceEngine:
 
     def _validate_batch(self, pairs: np.ndarray, mjd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batch-level shape/dtype checks; bad requests always raise."""
-        pairs = np.asarray(pairs)
-        mjd = np.asarray(mjd)
-        if pairs.ndim != 5 or pairs.shape[2] != 2:
-            raise ValueError(
-                f"expected (N, V, 2, S, S) stamp pairs, got shape {pairs.shape}"
-            )
-        if pairs.shape[3] != pairs.shape[4]:
-            raise ValueError(
-                f"stamps must be square, got {pairs.shape[3]}x{pairs.shape[4]}"
-            )
-        if not np.issubdtype(pairs.dtype, np.number):
-            raise ValueError(f"pairs must be numeric, got dtype {pairs.dtype}")
-        if mjd.shape != pairs.shape[:2]:
-            raise ValueError(
-                f"visit_mjd shape {mjd.shape} does not match pairs {pairs.shape[:2]}"
-            )
+        pairs, mjd = check_batch_shape(pairs, mjd)
         used = self._n_used_visits
         if pairs.shape[1] < used:
             raise ValueError(

@@ -12,7 +12,7 @@ scatters micro-batches onto them:
   per-sample diagnostics cross the pipe.  A batch too large for a slot
   falls back to pickle transport (counted in :meth:`stats`).
 * **BLAS thread pinning.**  Workers are spawned (never forked — the
-  daemon owns threads) under :func:`repro.nn.pinned_blas_env`, so each
+  parent may own threads) under :func:`repro.nn.pinned_blas_env`, so each
   child's numpy import sizes its BLAS pool to ``cores // workers``
   threads and N workers never oversubscribe the machine.
 * **Deterministic gather.**  A batch of ``n`` samples is split into
@@ -30,22 +30,23 @@ scatters micro-batches onto them:
   path, so a dispatch can never block forever.  The budget replenishes
   after a crash-free ``respawn_reset_s`` period (it bounds *flapping*,
   not lifetime crashes); exhausting it inside one unhealthy window
-  marks the pool broken (:class:`PoolBrokenError`) so the daemon can
-  drain with exit code 4.  :meth:`close` never waits on a stuck
-  dispatch: if the scoring lock cannot be acquired promptly it
-  terminates the workers outright and unlinks the shm ring, so a drain
-  cannot deadlock behind a wedge.
-* **Hot reload.**  :meth:`reload` broadcasts a new model directory and
-  an incremented version epoch; it returns only once every worker has
-  acked the epoch, and it holds the dispatch lock, so a registry swap
-  is exactly-once pool-wide and no in-flight batch ever mixes versions.
+  marks the pool broken (:class:`PoolBrokenError`), which every later
+  call re-raises.  ``task_timeout_s`` is the pool's only wedge
+  detector.  :meth:`close` never waits on a stuck dispatch: if the
+  scoring lock cannot be acquired promptly it terminates the workers
+  outright and unlinks the shm ring, so shutdown cannot deadlock behind
+  a wedge.
+
+The pool backs ``repro classify --workers N`` (N >= 2); the serving
+daemon scores in process.  A worker's ``worker.compute`` scope is an
+untraced timing: its duration is the worker's ``busy_s`` in
+:meth:`stats`, and no span crosses the pipe.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import json
 import pickle
 import tempfile
 import threading
@@ -64,7 +65,12 @@ from ..obs import trace as obs_trace
 from ..photometry import GRIZY
 from ..runtime.errors import CorruptArtifactError
 from ..runtime.retry import RetrySpec
-from .engine import DegradedInputError, InferenceEngine, PredictionResult
+from .engine import (
+    DegradedInputError,
+    InferenceEngine,
+    PredictionResult,
+    check_batch_shape,
+)
 
 __all__ = [
     "PoolConfig",
@@ -114,11 +120,10 @@ class PoolConfig:
     blas_threads: int = 0
     respawn: RetrySpec = field(default_factory=lambda: DEFAULT_RESPAWN_SPEC)
     start_timeout_s: float = 120.0
-    reload_timeout_s: float = 120.0
     #: No-progress deadline per gather: a worker that is alive but has
     #: sent nothing for this long while owing a shard is treated as
     #: wedged — terminated, its shard marked crashed, healed via the
-    #: respawn path.  The daemon sets this from ``wedge_timeout_s``.
+    #: respawn path.
     task_timeout_s: float = 30.0
     #: A crash-free period this long replenishes the respawn budget, so
     #: the budget bounds flapping rather than total lifetime crashes.
@@ -135,7 +140,6 @@ class PoolConfig:
             raise ValueError("blas_threads must be >= 0")
         if (
             self.start_timeout_s <= 0
-            or self.reload_timeout_s <= 0
             or self.task_timeout_s <= 0
             or self.respawn_reset_s <= 0
         ):
@@ -315,26 +319,16 @@ def _load_worker_engine(
     return engine
 
 
-def _task_span(wire, task_id: int, n_samples: int):
-    """The worker-side ``worker.compute`` span, resumed from the wire
-    context that rode the task message; an untraced timing scope when
-    the task's request is unsampled or the worker has no segment tracer.
-    Its duration is the worker's busy time for the task either way."""
-    tracer = obs_trace.tracer()
-    if wire is None or tracer is None:
-        return obs_trace.span("worker.compute")
-    return tracer.resume(wire, "worker.compute", f"t{task_id}", n_samples=n_samples)
-
-
 def _run_task(engine: InferenceEngine, buf, slot_bytes: int, msg: tuple) -> tuple:
     """Score one shm task; views over ``buf`` die at function exit."""
-    _, task_id, slot, shape, strict, start_index, wire = msg
+    _, task_id, slot, shape, strict, start_index = msg
     n, v, s = shape
     base = slot * slot_bytes
     mjd_off, res_off, _ = _slot_layout(n, v, s)
     pairs = np.ndarray((n, v, 2, s, s), dtype=np.float32, buffer=buf, offset=base)
     mjd = np.ndarray((n, v), dtype=np.float32, buffer=buf, offset=base + mjd_off)
-    with _task_span(wire, task_id, n) as compute:
+    # Untraced: the duration is the worker's busy time for the task.
+    with obs_trace.span("worker.compute") as compute:
         try:
             results = engine.classify_arrays(
                 pairs, mjd, strict=strict, start_index=start_index
@@ -342,21 +336,19 @@ def _run_task(engine: InferenceEngine, buf, slot_bytes: int, msg: tuple) -> tupl
             reply = ("task_done", task_id, len(results),
                      _store_results(buf, base + res_off, results))
         except Exception as exc:  # noqa: BLE001 - shipped to the parent, typed
-            compute.annotate(error=type(exc).__name__)
             reply = ("task_error", task_id, _describe_error(exc))
     return reply + (compute.duration_s,)
 
 
 def _run_task_pickle(engine: InferenceEngine, msg: tuple) -> tuple:
     """Pickle-transport fallback for batches larger than one slot."""
-    _, task_id, pairs, mjd, strict, start_index, wire = msg
-    with _task_span(wire, task_id, int(np.asarray(pairs).shape[0])) as compute:
+    _, task_id, pairs, mjd, strict, start_index = msg
+    with obs_trace.span("worker.compute") as compute:
         try:
             reply = ("results_pickle", task_id, engine.classify_arrays(
                 pairs, mjd, strict=strict, start_index=start_index
             ))
         except Exception as exc:  # noqa: BLE001
-            compute.annotate(error=type(exc).__name__)
             reply = ("task_error", task_id, _describe_error(exc))
     return reply + (compute.duration_s,)
 
@@ -368,29 +360,14 @@ def _worker_main(
     worker_id: int,
     model_source: str,
     worker_init: Callable | None,
-    trace_dir: str | None = None,
 ) -> None:
     """Entry point of one spawned scoring worker.
 
     Spawned (not forked) so the pinned BLAS environment is read by a
-    fresh numpy import and no daemon thread state leaks in.  The worker
-    owns one warm engine, answers ``task`` messages against the shared
-    ring and swaps its engine on ``reload`` broadcasts, acking each
-    version epoch so the parent can prove an exactly-once swap.
-
-    With ``trace_dir`` set (the parent's telemetry directory when
-    tracing is on) a :class:`~repro.obs.trace.SegmentTracer` is
-    installed: ``worker.compute`` spans — resumed from the wire context
-    in each task message — append to ``trace-worker<id>.jsonl`` and the
-    parent merges them into the main event log at gather time.
+    fresh numpy import and no parent thread state leaks in.  The worker
+    owns one warm engine and answers ``task`` messages against the
+    shared ring until it is told to ``stop``.
     """
-    if trace_dir is not None:
-        obs_trace.install(
-            obs_trace.SegmentTracer(
-                obs_trace.worker_segment_path(trace_dir, worker_id),
-                worker=worker_id,
-            )
-        )
     shm = None
     try:
         # Attaching re-registers the segment with the resource tracker the
@@ -416,14 +393,6 @@ def _worker_main(
         kind = msg[0]
         if kind == "stop":
             break
-        if kind == "reload":
-            _, epoch, source = msg
-            try:
-                engine = _load_worker_engine(source, worker_init, worker_id)
-                conn.send(("reload_ack", worker_id, epoch, None))
-            except Exception as exc:  # noqa: BLE001
-                conn.send(("reload_ack", worker_id, epoch, _describe_error(exc)))
-            continue
         if kind == "task":
             reply = _run_task(engine, shm.buf, slot_bytes, msg)
         elif kind == "task_pickle":
@@ -440,9 +409,6 @@ def _worker_main(
         shm.close()
     except BufferError:  # pragma: no cover - a leaked view; exiting anyway
         pass
-    segment = obs_trace.tracer()
-    if isinstance(segment, obs_trace.SegmentTracer):
-        segment.close()
     conn.close()
 
 
@@ -493,14 +459,13 @@ class ScoringPool:
     """A warm pool of scoring worker processes (see module docstring).
 
     Construct with either ``model_source`` (a saved model directory —
-    what ``repro serve --registry`` and ``repro classify --model``
-    already have) or a live ``engine`` (persisted once to a pool-owned
+    what ``repro classify --model`` already has) or a live ``engine`` (persisted once to a pool-owned
     temp directory so spawned workers can load it).  ``strict`` is the
     default for calls that pass ``strict=None``, like the engine's.
 
     ``worker_init(engine, worker_id)`` is the chaos seam: a *picklable*
-    callable applied to each worker's engine after load (the pool
-    equivalent of ``reload_hook``); the fault suite uses it to plant
+    callable applied to each worker's engine after load; the fault
+    suite uses it to plant
     deterministic crashes inside worker processes.
     """
 
@@ -542,7 +507,6 @@ class ScoringPool:
         self._broken: str | None = None
         self._task_counter = 0
         self._next_worker = 0
-        self._epoch = 0
         self._respawns = 0
         self._crashes = 0
         self._wedges = 0
@@ -560,10 +524,6 @@ class ScoringPool:
         self._window_t: float | None = None
         self._scatter_win = 0.0
         self._gather_win = 0.0
-        # Tracing: telemetry dir for worker span segments (set at start
-        # when a tracer is installed) and per-worker merge offsets.
-        self._trace_dir: str | None = None
-        self._segment_offsets: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -583,9 +543,6 @@ class ScoringPool:
                 create=True, size=self._n_slots * self.config.slot_bytes
             )
             self._free_slots = deque(range(self._n_slots))
-            tracer = obs_trace.tracer()
-            if tracer is not None and tracer.directory is not None:
-                self._trace_dir = tracer.directory
             try:
                 for worker_id in range(self.config.workers):
                     self._workers.append(self._spawn(worker_id))
@@ -615,8 +572,8 @@ class ScoringPool:
         shm ring name is unlinked anyway.  The killed workers wake the
         stuck gather (dead sentinels), its shards settle as crashes, and
         the now-closed pool raises :class:`PoolBrokenError` out of the
-        dispatch instead of respawning into torn-down state — so a
-        daemon drain can always complete.
+        dispatch instead of respawning into torn-down state — so
+        shutdown can always complete.
         """
         with self._close_lock:
             if self._closed:
@@ -698,7 +655,6 @@ class ScoringPool:
                 worker_id,
                 self._model_source,
                 self._worker_init,
-                self._trace_dir,
             ),
             name=f"repro-pool-{worker_id}",
             daemon=True,
@@ -801,25 +757,9 @@ class ScoringPool:
         crash is healed internally (respawn + per-sample re-score) with
         only repeat offenders flagged as failed placeholders.
         """
-        pairs_arr = np.asarray(pairs)
-        mjd_arr = np.asarray(mjd)
-        # Mirror the engine's batch-level checks the shm layout depends
-        # on (same messages), before any bytes move.
-        if pairs_arr.ndim != 5 or pairs_arr.shape[2] != 2:
-            raise ValueError(
-                f"expected (N, V, 2, S, S) stamp pairs, got shape {pairs_arr.shape}"
-            )
-        if pairs_arr.shape[3] != pairs_arr.shape[4]:
-            raise ValueError(
-                f"stamps must be square, got {pairs_arr.shape[3]}x{pairs_arr.shape[4]}"
-            )
-        if not np.issubdtype(pairs_arr.dtype, np.number):
-            raise ValueError(f"pairs must be numeric, got dtype {pairs_arr.dtype}")
-        if mjd_arr.shape != pairs_arr.shape[:2]:
-            raise ValueError(
-                f"visit_mjd shape {mjd_arr.shape} does not match pairs "
-                f"{pairs_arr.shape[:2]}"
-            )
+        # The engine's batch-level checks the shm layout depends on,
+        # before any bytes move.
+        pairs_arr, mjd_arr = check_batch_shape(pairs, mjd)
         n = pairs_arr.shape[0]
         if n == 0:
             return []
@@ -827,36 +767,28 @@ class ScoringPool:
         # the ring carries half the bytes with zero numeric difference.
         pairs32 = np.ascontiguousarray(pairs_arr, dtype=np.float32)
         mjd32 = np.ascontiguousarray(mjd_arr, dtype=np.float32)
-        dispatch_parent = obs_trace.current_span()
         with self._lock:
             self._ensure_live()
-            wire = obs_trace.wire_context(dispatch_parent)
             scatter = gather = None
             try:
                 with obs_trace.span(
-                    "pool.scatter",
-                    parent=dispatch_parent,
-                    n_samples=n,
-                    workers=len(self._workers),
+                    "pool.scatter", n_samples=n, workers=len(self._workers)
                 ) as scatter:
                     shards: list[_Shard] = []
                     for offset, count in self._plan_shards(n):
                         worker = self._pick_worker()
                         shards.append(
                             self._submit(worker, pairs32, mjd32, offset, count,
-                                         strict, start_index, wire)
+                                         strict, start_index)
                         )
                 # Healing a crashed shard (respawn + per-sample re-score)
                 # happens in _settle, so it counts as gather time.
-                with obs_trace.span(
-                    "pool.gather", parent=dispatch_parent, shards=len(shards)
-                ) as gather:
+                with obs_trace.span("pool.gather", shards=len(shards)) as gather:
                     self._gather(shards)
                     results = self._settle(shards, pairs32, mjd32, strict,
                                            start_index)
             finally:
                 self._note_window(scatter, gather)
-            self._drain_trace_segments()
         self._tasks += 1
         self._samples += n
         return results
@@ -890,7 +822,6 @@ class ScoringPool:
         count: int,
         strict: bool | None,
         start_index: int,
-        wire: tuple | None = None,
     ) -> _Shard:
         shard_pairs = pairs32[offset : offset + count]
         shard_mjd = mjd32[offset : offset + count]
@@ -904,12 +835,12 @@ class ScoringPool:
             base = slot * self.config.slot_bytes
             self._write_slot(base, mjd_off, shard_pairs, shard_mjd)
             message = ("task", task_id, slot, (n, v, s), strict,
-                       start_index + offset, wire)
+                       start_index + offset)
         else:
             self._overflow += 1
             res_off = None
             message = ("task_pickle", task_id, shard_pairs, shard_mjd,
-                       strict, start_index + offset, wire)
+                       strict, start_index + offset)
         shard = _Shard(task_id, worker, slot, res_off, offset, count,
                        start_index + offset)
         try:
@@ -944,7 +875,7 @@ class ScoringPool:
         past ``task_timeout_s`` is declared wedged — terminated, its
         shards settled as crashes for the respawn path to heal — so a
         hung GEMM or a stopped process can never hold the dispatch lock
-        (and, through it, a daemon drain) forever.
+        (and, through it, :meth:`close`) forever.
         """
         pending = {s.task_id: s for s in shards if s.outcome is None}
         deadline = time.monotonic() + self.config.task_timeout_s
@@ -1047,9 +978,7 @@ class ScoringPool:
             shard.outcome = ("error", _rebuild_error(desc))
             self._note_done(worker, shard, elapsed)
             return True
-        # reload_ack or unknown mid-scoring: impossible under the dispatch
-        # lock; ignore defensively.
-        return False  # pragma: no cover
+        return False  # pragma: no cover - protocol bug
 
     def _note_done(self, worker: _Worker, shard: _Shard, elapsed: float) -> None:
         worker.tasks += 1
@@ -1107,15 +1036,13 @@ class ScoringPool:
             self._default_strict if strict is None else bool(strict)
         )
         healed: list[PredictionResult] = []
-        # Called inside the gather span's scope, so the heal — and the
-        # respawned workers' compute spans resumed from its wire context
-        # — records as a child of ``pool.gather``.
+        # Called inside the gather span's scope, so the heal records as
+        # a child of ``pool.gather``.
         with obs_trace.span("pool.heal", n_samples=count, offset=offset):
-            wire = obs_trace.wire_context()
             for i in range(offset, offset + count):
                 worker = self._pick_worker()
                 shard = self._submit(worker, pairs32, mjd32, i, 1, strict,
-                                     start_index, wire)
+                                     start_index)
                 self._gather([shard])
                 kind = shard.outcome[0] if shard.outcome else "crash"
                 if kind == "ok":
@@ -1150,7 +1077,7 @@ class ScoringPool:
 
         The windows are exponentially-decayed sums (time constant 60s):
         recent dispatches dominate, an idle minute decays them to ~zero,
-        so ``/healthz`` reflects current rather than lifetime behavior.
+        so :meth:`stats` reflects current rather than lifetime behavior.
         """
         scatter_s = scatter.duration_s if scatter is not None else 0.0
         gather_s = gather.duration_s if gather is not None else 0.0
@@ -1172,43 +1099,6 @@ class ScoringPool:
             -(time.monotonic() - self._window_t) / self._WINDOW_TAU_S
         )
         return self._scatter_win * decay, self._gather_win * decay
-
-    def _drain_trace_segments(self) -> None:
-        """Merge new worker-segment span lines into the parent tracer.
-
-        Each worker appends completed ``worker.compute`` (and nested
-        engine-stage) spans to its own JSONL segment; the parent tails
-        every segment from its last offset and routes each record
-        through :meth:`Tracer.merge`, which lands it in the main event
-        log (or the live trace's slow-mode buffer).  Torn tail lines —
-        a worker mid-write or freshly killed — are left for next time.
-        """
-        tracer = obs_trace.tracer()
-        if self._trace_dir is None or not isinstance(tracer, obs_trace.Tracer):
-            return
-        for worker in self._workers:
-            path = obs_trace.worker_segment_path(self._trace_dir, worker.id)
-            offset = self._segment_offsets.get(worker.id, 0)
-            try:
-                with open(path, "rb") as fh:
-                    fh.seek(offset)
-                    data = fh.read()
-            except OSError:
-                continue
-            end = data.rfind(b"\n")
-            if end < 0:
-                continue
-            self._segment_offsets[worker.id] = offset + end + 1
-            for line in data[:end].split(b"\n"):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(record, dict):
-                    tracer.merge(record)
 
     def stream(
         self,
@@ -1257,94 +1147,8 @@ class ScoringPool:
             yield from results
 
     # ------------------------------------------------------------------
-    # Hot reload
-    # ------------------------------------------------------------------
-    def reload(self, model_source: str | os.PathLike) -> int:
-        """Swap every worker to a new model directory; exactly-once.
-
-        Holds the dispatch lock, so no batch is in flight during the
-        swap and no batch ever mixes versions; blocks until every worker
-        acks the new epoch.  On any worker failing the load, the
-        remaining workers are rolled back to the previous source and the
-        error re-raises — the pool never serves a half-swapped state.
-        """
-        source = os.fspath(model_source)
-        with self._lock:
-            self._ensure_live()
-            previous = self._model_source
-            self._epoch += 1
-            epoch = self._epoch
-            self._model_source = source
-            with obs_trace.span("pool.reload"):
-                try:
-                    self._broadcast_reload(source, epoch)
-                except PoolError:
-                    self._model_source = previous
-                    self._epoch += 1
-                    self._broadcast_reload(previous, self._epoch)
-                    raise
-            return epoch
-
-    def _broadcast_reload(self, source: str, epoch: int) -> None:
-        for worker in self._workers:
-            if not worker.process.is_alive():
-                # A fresh spawn loads self._model_source — already `source`.
-                self._note_crash(worker)
-        pending: dict[int, _Worker] = {}
-        for worker in self._workers:
-            try:
-                worker.conn.send(("reload", epoch, source))
-                pending[worker.id] = worker
-            except (BrokenPipeError, OSError):
-                self._note_crash(worker)
-        deadline = time.monotonic() + self.config.reload_timeout_s
-        failures: list[str] = []
-        while pending:
-            if time.monotonic() > deadline:
-                raise PoolError(
-                    f"reload epoch {epoch} not acked by workers "
-                    f"{sorted(pending)} within {self.config.reload_timeout_s}s"
-                )
-            workers = list(pending.values())
-            sentinels = {w.process.sentinel: w for w in workers}
-            conns = {w.conn: w for w in workers}
-            ready = connection.wait(list(conns) + list(sentinels), timeout=0.5)
-            for item in ready:
-                worker = conns.get(item)
-                if worker is None:
-                    continue
-                try:
-                    while worker.conn.poll():
-                        msg = worker.conn.recv()
-                        if msg[0] != "reload_ack" or msg[2] != epoch:
-                            continue
-                        pending.pop(worker.id, None)
-                        if msg[3] is not None:
-                            failures.append(
-                                f"worker {worker.id}: {msg[3]['type']}: "
-                                f"{msg[3]['message']}"
-                            )
-                except (EOFError, OSError):
-                    pass
-            for item in ready:
-                worker = sentinels.get(item)
-                if worker is None or worker.process.is_alive():
-                    continue
-                if worker.id in pending:
-                    del pending[worker.id]
-                    # The respawn loads the new source directly.
-                    self._note_crash(worker)
-        if failures:
-            raise PoolError("reload failed: " + "; ".join(failures))
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def epoch(self) -> int:
-        """The version epoch every live worker has acked."""
-        return self._epoch
-
     @property
     def blas_threads(self) -> int:
         """BLAS threads pinned into each worker's environment."""
@@ -1355,8 +1159,7 @@ class ScoringPool:
 
         ``scatter_s_*`` / ``gather_s_*`` sum the durations of the
         ``pool.scatter`` / ``pool.gather`` spans, the same clock the
-        span table and a traced waterfall read; gather includes healing
-        crashed shards.
+        span table reads; gather includes healing crashed shards.
         """
         uptime = (
             time.monotonic() - self._started_at
@@ -1395,7 +1198,6 @@ class ScoringPool:
             "crashed_shards": self._crashed_shards,
             "poison_samples": self._poison_samples,
             "contained_chunk_failures": self._contained_chunk_failures,
-            "reload_epoch": self._epoch,
             "scatter_s_total": round(self._scatter_s, 6),
             "gather_s_total": round(self._gather_s, 6),
             "scatter_s_window60s": round(scatter_win, 6),

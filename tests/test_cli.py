@@ -21,6 +21,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_serve_scoring_workers_flag_is_gone(self):
+        # The daemon scores in process only; multi-process scoring is
+        # `classify --workers N`.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["serve", "--model", "m", "--scoring-workers", "2"]
+            )
+        assert excinfo.value.code == 2
+
 
 class TestWorkflow:
     def test_build_lightcurve_dataset(self, tmp_path, capsys):

@@ -371,12 +371,25 @@ class TestDeadlines:
             assert int(daemon.metrics.counter("daemon.responses").value) == 1
 
     def test_out_of_range_deadline_is_bad_request(self, engine, sample):
+        """Out-of-range or mistyped ``deadline_ms`` / ``strict`` fields are
+        a typed 400 and never admitted: ``strict`` must be a JSON boolean
+        and ``deadline_ms`` a JSON number that is not a boolean."""
         pairs, mjd = sample
+        bad_fields = [
+            {"deadline_ms": 0.5},
+            {"deadline_ms": True},
+            {"deadline_ms": "250"},
+            {"strict": "false"},
+            {"strict": 1},
+        ]
         with running_daemon(engine, DaemonConfig(batch_deadline_ms=2.0)) as daemon:
-            status, doc = post_classify(
-                daemon.port, classify_body(pairs, mjd, deadline_ms=0.5)
-            )
-            assert status == 400 and doc["error"]["type"] == "bad_request"
+            for fields in bad_fields:
+                status, doc = post_classify(
+                    daemon.port, classify_body(pairs, mjd, **fields)
+                )
+                assert status == 400, fields
+                assert doc["error"]["type"] == "bad_request", fields
+            assert int(daemon.metrics.counter("daemon.admitted").value) == 0
 
 
 class TestBadRequests:

@@ -216,87 +216,6 @@ class TestBurstOverload:
             assert statuses.count(504) == timeouts
 
 
-class TestPoolWorkerKill:
-    def test_sigkill_mid_burst_conserves_every_request(self, engine, sample):
-        """SIGKILL a scoring worker *process* mid-batch under burst load.
-
-        The multi-process analogue of the poison-batch tests: a scoring
-        worker dies with requests in flight, the pool detects the dead
-        sentinel, respawns the worker under its RetrySpec budget and
-        re-scores the culprit group per sample — so conservation
-        (``sent == 200 + 429 + 504 + 5xx``) must hold exactly as it
-        does for a single-process daemon, and the daemon must still
-        drain cleanly afterwards.
-        """
-        import os
-        import signal as _signal
-
-        pairs, mjd = sample
-        body = classify_body(pairs, mjd, deadline_ms=30000)
-        offsets = BurstSchedule(qps=60.0, duration_s=1.0, burst_factor=3.0).offsets()
-        config = DaemonConfig(
-            queue_depth=8, batch_max_size=4, batch_deadline_ms=5.0,
-            scoring_workers=2,
-        )
-        with running_daemon(engine, config) as daemon:
-            pool = daemon._pool
-            assert pool is not None and len(pool.pids()) == 2
-            results: list = [None] * len(offsets)
-            start = time.monotonic()
-
-            def fire(k, offset):
-                delay = start + offset - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                results[k] = post_classify(daemon.port, body)
-
-            threads = [
-                threading.Thread(target=fire, args=(k, offset), daemon=True)
-                for k, offset in enumerate(offsets)
-            ]
-            for thread in threads:
-                thread.start()
-            # Kill a worker once traffic is genuinely flowing through it.
-            deadline = time.monotonic() + 10.0
-            while pool.stats()["batches"] < 1 and time.monotonic() < deadline:
-                time.sleep(0.005)
-            os.kill(pool.pids()[0], _signal.SIGKILL)
-            for thread in threads:
-                thread.join(timeout=60.0)
-
-            # Exactly one typed response per request.
-            assert all(result is not None for result in results)
-            statuses = [status for status, _ in results]
-            assert set(statuses) <= {200, 429, 504, 500}
-            assert statuses.count(200) >= 1
-
-            admitted = int(daemon.metrics.counter("daemon.admitted").value)
-            responses = int(daemon.metrics.counter("daemon.responses").value)
-            timeouts = int(daemon.metrics.counter("daemon.timeouts").value)
-            shed = int(daemon.metrics.counter("daemon.shed").value)
-            errors = int(daemon.metrics.counter("daemon.request_errors").value)
-            assert admitted + shed == len(offsets)
-            assert responses + timeouts + errors == admitted
-            assert statuses.count(200) == responses
-            assert statuses.count(429) == shed
-            assert statuses.count(504) == timeouts
-            assert statuses.count(500) == errors
-
-            # The pool healed within its respawn budget: a full
-            # complement of live workers, crash + respawn accounted.
-            stats = pool.stats()
-            assert stats["crashes"] >= 1
-            assert stats["respawns"] >= 1
-            assert stats["broken"] is None
-            assert len(pool.pids()) == 2
-
-            # Clean traffic still scores wire-identically after healing.
-            status, doc = post_classify(daemon.port, body)
-            assert status == 200
-            solo = engine.classify_arrays(pairs[None], mjd[None])[0]
-            assert doc["result"]["probability"] == round(solo.probability, 6)
-
-
 class TestCleanTrafficParity:
     def test_daemon_scores_bit_identical_to_batch_classify(self, engine):
         """Concurrent daemon traffic == classify_arrays, bit for bit.

@@ -1,4 +1,4 @@
-"""Multi-process scoring pool: parity, crash healing, hot reload, stream.
+"""Multi-process scoring pool: parity, crash healing, stream.
 
 The pool's promise is that scattering a batch across worker processes
 changes *nothing* observable but the wall clock.  The parity tests pin
@@ -23,7 +23,6 @@ the respawn budget, per-sample culprit isolation and the
 
 import os
 import signal
-import tempfile
 import threading
 import time
 
@@ -328,42 +327,6 @@ class TestPoolCrash:
             # Broken is terminal: the next dispatch refuses immediately.
             with pytest.raises(PoolBrokenError):
                 pool.classify_arrays(pairs, mjd)
-
-
-class TestPoolReload:
-    def test_reload_swaps_exactly_once_and_is_deterministic(self, engine, batch):
-        pairs, mjd = batch
-        other = make_serve_engine(seed=77)
-        with tempfile.TemporaryDirectory() as td:
-            other.save(td)
-            want = shard_reference(other, 2, pairs, mjd)
-            with ScoringPool(
-                engine=engine, config=PoolConfig(workers=2)
-            ) as pool:
-                before = pool.classify_arrays(pairs, mjd)
-                assert pool.reload(td) == 1
-                assert pool.epoch == 1
-                after = pool.classify_arrays(pairs, mjd)
-        assert_bit_exact(after, want)
-        # The models genuinely disagree, so the swap demonstrably landed.
-        assert any(
-            round(a.probability, 6) != round(b.probability, 6)
-            for a, b in zip(before, after)
-        )
-
-    def test_failed_reload_rolls_back_every_worker(self, engine, batch, tmp_path):
-        pairs, mjd = batch
-        want = shard_reference(engine, 2, pairs, mjd)
-        bad = tmp_path / "not-a-model"
-        bad.mkdir()
-        with ScoringPool(
-            engine=engine, config=PoolConfig(workers=2)
-        ) as pool:
-            pool.classify_arrays(pairs, mjd)
-            with pytest.raises(Exception, match="reload failed"):
-                pool.reload(bad)
-            # Every worker is back on the previous model, bit for bit.
-            assert_bit_exact(pool.classify_arrays(pairs, mjd), want)
 
 
 class _ArrayDataset:

@@ -161,101 +161,6 @@ class TestHotReload:
             assert health["model_version"] == "v2"
             assert health["reloads"] == 1
 
-    @pytest.mark.serve
-    def test_pool_burst_traffic_across_a_promote_drops_nothing(self, tmp_path):
-        """Acceptance: hot reload under load with the scoring pool on.
-
-        Same conservation and exactly-once-swap contract as the
-        single-process variant above, but scoring runs on a two-worker
-        :class:`ScoringPool` — the swap must broadcast to every worker
-        (epoch ack) without dropping a single in-flight request, and no
-        200 may mix versions.
-        """
-        model_a = tmp_path / "model-a"
-        model_b = tmp_path / "model-b"
-        _build_model_dir(model_a, seed=0)
-        _build_model_dir(model_b, seed=1)
-        registry = ModelRegistry(tmp_path / "registry")
-        registry.promote(registry.register(model_a))
-        registry.register(model_b)
-
-        engine_v1 = InferenceEngine.from_directory(registry.path("v1"))
-        engine_v2 = InferenceEngine.from_directory(registry.path("v2"))
-        pairs, mjd = make_serve_sample(engine_v1, seed=7)
-        expected = {
-            round(engine.classify_arrays(pairs[None], mjd[None])[0].probability, 6)
-            for engine in (engine_v1, engine_v2)
-        }
-        assert len(expected) == 2
-
-        body = classify_body(pairs, mjd, deadline_ms=30000)
-        offsets = BurstSchedule(qps=60.0, duration_s=1.0, burst_factor=4.0).offsets()
-        config = DaemonConfig(
-            queue_depth=8, batch_max_size=4, batch_deadline_ms=5.0,
-            reload_poll_s=0.05, scoring_workers=2,
-        )
-        with running_registry_daemon(registry, config) as daemon:
-            assert daemon._engine_version == "v1"
-            assert daemon._pool is not None and daemon._pool.epoch == 0
-            results = [None] * len(offsets)
-            start = time.monotonic()
-
-            def fire(k, offset):
-                delay = start + offset - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                results[k] = post_classify(daemon.port, body)
-
-            threads = [
-                threading.Thread(target=fire, args=(k, offset), daemon=True)
-                for k, offset in enumerate(offsets)
-            ]
-            for thread in threads:
-                thread.start()
-            time.sleep(0.4)
-            registry.promote("v2")
-            for thread in threads:
-                thread.join(timeout=60.0)
-            _wait_for(lambda: daemon._engine_version == "v2")
-
-            assert all(result is not None for result in results)
-            statuses = [status for status, _ in results]
-            assert set(statuses) <= {200, 429, 504}
-
-            admitted = int(daemon.metrics.counter("daemon.admitted").value)
-            responses = int(daemon.metrics.counter("daemon.responses").value)
-            timeouts = int(daemon.metrics.counter("daemon.timeouts").value)
-            shed = int(daemon.metrics.counter("daemon.shed").value)
-            assert admitted + shed == len(offsets)
-            assert responses + timeouts == admitted
-            assert statuses.count(200) == responses
-            assert statuses.count(429) == shed
-            assert statuses.count(504) == timeouts
-
-            # Exactly-once swap, broadcast pool-wide: one reload, one
-            # epoch bump, every worker still alive, zero crashes.
-            assert int(daemon.metrics.counter("daemon.reloads").value) == 1
-            pool_stats = daemon._pool.stats()
-            assert pool_stats["reload_epoch"] == 1
-            assert pool_stats["crashes"] == 0
-            assert pool_stats["broken"] is None
-            per_worker = pool_stats["per_worker"]
-            assert len(per_worker) == 2
-            assert all(worker["alive"] for worker in per_worker)
-
-            scored = [
-                doc["result"]["probability"]
-                for status, doc in results if status == 200
-            ]
-            assert scored and set(scored) <= expected
-            served_v1 = int(daemon.metrics.counter("daemon.served.v1").value)
-            served_v2 = int(daemon.metrics.counter("daemon.served.v2").value)
-            assert served_v1 + served_v2 == responses
-
-            health = _healthz(daemon.port)
-            assert health["model_version"] == "v2"
-            assert health["scoring_pool"]["workers"] == 2
-
     def test_healthz_reports_deploy_state(self, two_version_registry):
         """Satellite: /healthz carries the version and deploy counters."""
         with running_registry_daemon(two_version_registry) as daemon:

@@ -1,6 +1,6 @@
-"""Request tracing: span layer, sampling, cross-process propagation,
-the trace analysis CLI, and the satellites that ride along (access log,
-configurable latency buckets, windowed pool rates)."""
+"""Request tracing: span layer, sampling, the trace analysis CLI, and
+the satellites that ride along (access log, configurable latency
+buckets, windowed pool rates)."""
 
 import json
 import os
@@ -25,7 +25,6 @@ from repro.obs.trace import (
     stage_table,
     validate_spans,
 )
-from repro.runtime.faults import CrashWorkerOnMarker
 from repro.serve import PoolConfig, ScoringPool
 from repro.serve.daemon import DaemonConfig
 
@@ -39,10 +38,6 @@ from .helpers import (
 )
 
 pytestmark = pytest.mark.obs
-
-#: Magic first-pixel value CrashWorkerOnMarker kills on.
-MARKER = 12345.0
-
 
 @pytest.fixture(autouse=True)
 def no_leaked_session():
@@ -113,15 +108,13 @@ class TestConfig:
 class TestSpans:
     def test_disabled_path_is_null(self):
         # With tracing off a span is a bare timing scope: no ids, no
-        # ambient parent, no wire context — only a duration.
+        # ambient parent — only a duration.
         assert trace_mod.tracer() is None
         assert not isinstance(trace_mod.span("anything"), trace_mod.Span)
-        assert trace_mod.wire_context() is None
         trace_mod.record("anything", 0.1)  # table only, no error
         with trace_mod.span("nested") as s:
             assert not isinstance(s, trace_mod.Span)
             assert trace_mod.current_span() is None
-            assert trace_mod.wire_context() is None
         assert s.duration_s is not None and s.duration_s >= 0.0
 
     def test_ambient_nesting_and_emission(self, tmp_path):
@@ -332,89 +325,9 @@ class TestDaemonTracing:
 
 
 # ----------------------------------------------------------------------
-# Cross-process propagation through the scoring pool
+# Scoring-pool stage timing
 # ----------------------------------------------------------------------
 class TestPoolTracing:
-    def _traced_pool_batch(self, engine, tmp_path, pairs, mjd, **pool_kwargs):
-        session = obs.start(tmp_path, run_id="pool", trace="always")
-        pool = ScoringPool(
-            engine=engine, config=PoolConfig(workers=2), **pool_kwargs
-        )
-        try:
-            pool.start()
-            root = session.tracer.start_trace("pool/r0")
-            with root:
-                results = pool.classify_arrays(pairs, mjd)
-        finally:
-            pool.close()
-            obs.stop()
-        return root, results
-
-    def test_worker_spans_cross_the_pipe(self, engine, tmp_path):
-        rng = np.random.default_rng(3)
-        v, s = engine._n_used_visits, 40
-        pairs = rng.normal(0.0, 30.0, size=(6, v, 2, s, s)).astype(np.float32)
-        mjd = np.tile(
-            (57000.0 + np.arange(v) * 0.01).astype(np.float32), (6, 1)
-        )
-        root, results = self._traced_pool_batch(engine, tmp_path, pairs, mjd)
-        assert len(results) == 6
-        spans = load_spans(os.fspath(tmp_path))
-        assert validate_spans(spans) == []
-        workers = [s for s in spans if s["name"] == "worker.compute"]
-        assert len(workers) == 2  # one shard per worker
-        scatter = next(s for s in spans if s["name"] == "pool.scatter")
-        gather = next(s for s in spans if s["name"] == "pool.gather")
-        for span_rec in workers:
-            assert span_rec["trace_id"] == root.trace_id
-            assert span_rec["parent_id"] == root.span_id
-            assert span_rec["worker"] in (0, 1)
-            assert span_rec["pid"] != os.getpid()
-        assert scatter["parent_id"] == root.span_id
-        assert gather["parent_id"] == root.span_id
-        # Engine stages inside the workers nest under worker.compute.
-        worker_ids = {s["span_id"] for s in workers}
-        cnn_spans = [s for s in spans if s["name"] == "serve.cnn"]
-        assert cnn_spans and all(
-            s["parent_id"] in worker_ids for s in cnn_spans
-        )
-
-    def test_trace_survives_worker_crash_and_respawn(self, engine, tmp_path):
-        """Satellite: spans from a respawned worker still carry the
-        trace, and the heal re-score records as a child of the gather."""
-        rng = np.random.default_rng(4)
-        v, s = engine._n_used_visits, 40
-        pairs = rng.normal(0.0, 30.0, size=(6, v, 2, s, s)).astype(np.float32)
-        mjd = np.tile(
-            (57000.0 + np.arange(v) * 0.01).astype(np.float32), (6, 1)
-        )
-        marked = pairs.copy()
-        marked[5, 0, 0, 0, 0] = MARKER  # kills only grouped batches
-        root, results = self._traced_pool_batch(
-            engine, tmp_path, marked, mjd,
-            worker_init=CrashWorkerOnMarker(MARKER, min_batch=2),
-        )
-        assert len(results) == 6
-        spans = load_spans(os.fspath(tmp_path))
-        assert validate_spans(spans) == []
-        assert all(
-            span_rec["trace_id"] == root.trace_id
-            for span_rec in spans
-            if span_rec["name"] != "request"
-        )
-        gather = next(s for s in spans if s["name"] == "pool.gather")
-        heal = next(s for s in spans if s["name"] == "pool.heal")
-        assert heal["parent_id"] == gather["span_id"]
-        # The respawned worker's per-single re-scores parent under the
-        # heal span and still carry the original trace id.
-        healed = [
-            s for s in spans
-            if s["name"] == "worker.compute"
-            and s["parent_id"] == heal["span_id"]
-        ]
-        assert healed
-        assert all(s["trace_id"] == root.trace_id for s in healed)
-
     def test_windowed_rates_in_stats(self, engine, tmp_path):
         rng = np.random.default_rng(5)
         v, s = engine._n_used_visits, 40
@@ -476,9 +389,10 @@ class TestTraceCli:
         assert "no span records" in capsys.readouterr().err
 
     def test_trace_command_validate_catches_damage(self, traced_dir, capsys):
-        segment = os.path.join(traced_dir, "trace-worker9.jsonl")
-        with open(segment, "w") as handle:
-            handle.write(json.dumps({"trace_id": "x", "name": 3}) + "\n")
+        events = os.path.join(traced_dir, EVENTS_FILE)
+        with open(events, "a") as handle:
+            damaged = {"event": SPAN_EVENT, "trace_id": "x", "name": 3}
+            handle.write(json.dumps(damaged) + "\n")
         assert cli_main(["trace", traced_dir, "--validate"]) == 2
 
     def test_serve_trace_requires_telemetry(self, capsys):
